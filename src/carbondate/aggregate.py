@@ -6,7 +6,6 @@ absence (no method succeeded) is a valid answer, not an error.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,6 +46,18 @@ class CreationEstimate:
         return {e.method: e for e in self.evidence}
 
 
+def pick_least(
+    values: dict[str, Optional[int]],
+) -> tuple[Optional[int], Optional[str]]:
+    """Least present value and the method holding it, ties broken by
+    TIE_BREAK_ORDER; (None, None) when every value is absent."""
+    present = {m: v for m, v in values.items() if v is not None}
+    if not present:
+        return None, None
+    least = min(present.values())
+    return least, next(m for m in TIE_BREAK_ORDER if present.get(m) == least)
+
+
 def aggregate(uri: CanonicalUri, evidence: list[EvidenceResult]) -> CreationEstimate:
     """Minimum over ok estimates; ties broken by the fixed method order."""
     seen: set[str] = set()
@@ -54,18 +65,53 @@ def aggregate(uri: CanonicalUri, evidence: list[EvidenceResult]) -> CreationEsti
         if e.method in seen:
             raise DuplicateMethod(e.method)
         seen.add(e.method)
-    ok = {e.method: e.estimate for e in evidence if e.status == "ok"}
-    if not ok:
-        return CreationEstimate(
-            uri=uri, estimated=None, winning_method=None, evidence=tuple(evidence)
-        )
-    estimated = min(ok.values())
-    winner = next(
-        m for m in TIE_BREAK_ORDER if ok.get(m) == estimated
-    )
+    estimated, winner = pick_least({e.method: e.estimate for e in evidence})
     return CreationEstimate(
         uri=uri, estimated=estimated, winning_method=winner, evidence=tuple(evidence)
     )
+
+
+@dataclass(frozen=True)
+class ReportStyle:
+    """The key names of one report layout, in output order."""
+
+    uri: str
+    estimated: str
+    winning_method: Optional[str]  # None: the layout omits the winner
+    methods: tuple[tuple[str, str], ...]  # (method, key) pairs
+    archives: tuple[str, str, str]  # block, earliest and by-archive keys
+
+
+_REPORTED_METHODS = (
+    METHOD_LAST_MODIFIED,
+    METHOD_SHORTENER,
+    METHOD_SOCIAL,
+    METHOD_BACKLINKS,
+    METHOD_SEARCH_INDEX,
+)
+
+# legacy uses the historical key names; generic the method registry names.
+REPORT_STYLES = {
+    "legacy": ReportStyle(
+        uri="URI",
+        estimated="Estimated Creation Date",
+        winning_method=None,
+        methods=tuple(
+            zip(
+                _REPORTED_METHODS,
+                ("Last Modified", "Bitly", "Topsy.com", "Backlinks", "Google.com"),
+            )
+        ),
+        archives=("Archives", "Earliest", "By Archive"),
+    ),
+    "generic": ReportStyle(
+        uri="uri",
+        estimated="estimated",
+        winning_method="winning_method",
+        methods=tuple(zip(_REPORTED_METHODS, _REPORTED_METHODS)),
+        archives=("archives", "earliest", "by_archive"),
+    ),
+}
 
 
 def _render_value(result: Optional[EvidenceResult]) -> str:
@@ -80,57 +126,28 @@ def _render_value(result: Optional[EvidenceResult]) -> str:
 def render_report(ce: CreationEstimate, style: str = "legacy") -> dict:
     """Shape the estimate as the service's JSON document.
 
-    legacy style uses the historical key names; generic style uses the
-    method registry names. Absent values are empty strings so the schema
-    stays fixed-shape.
+    The key names and their order come from REPORT_STYLES[style]. Absent
+    values are empty strings so the schema stays fixed-shape.
     """
+    keys = REPORT_STYLES.get(style)
+    if keys is None:
+        raise ValueError(f"unknown report style: {style!r}")
     by_method = ce.by_method()
+    report = {
+        keys.uri: ce.uri.display(),
+        keys.estimated: _render_value(by_method.get(ce.winning_method)),
+    }
+    if keys.winning_method is not None:
+        report[keys.winning_method] = ce.winning_method or ""
+    for method, key in keys.methods:
+        report[key] = _render_value(by_method.get(method))
     archives = by_method.get(METHOD_ARCHIVES)
-    if ce.estimated is None:
-        estimated = ""
-    else:
-        win = by_method.get(ce.winning_method or "")
-        if win is not None and win.granularity == "day":
-            estimated = truncate_to_day(ce.estimated).isoformat()
-        else:
-            estimated = render_iso_timestamp(ce.estimated)
     by_archive = {}
     if archives is not None and archives.status == "ok":
         by_archive = {
             host: render_iso_timestamp(t)
             for host, t in sorted(archives.detail.get("by_archive", {}).items())
         }
-    if style == "legacy":
-        return {
-            "URI": ce.uri.display(),
-            "Estimated Creation Date": estimated,
-            "Last Modified": _render_value(by_method.get(METHOD_LAST_MODIFIED)),
-            "Bitly": _render_value(by_method.get(METHOD_SHORTENER)),
-            "Topsy.com": _render_value(by_method.get(METHOD_SOCIAL)),
-            "Backlinks": _render_value(by_method.get(METHOD_BACKLINKS)),
-            "Google.com": _render_value(by_method.get(METHOD_SEARCH_INDEX)),
-            "Archives": {
-                "Earliest": _render_value(archives),
-                "By Archive": by_archive,
-            },
-        }
-    if style == "generic":
-        return {
-            "uri": ce.uri.display(),
-            "estimated": estimated,
-            "winning_method": ce.winning_method or "",
-            "last_modified": _render_value(by_method.get(METHOD_LAST_MODIFIED)),
-            "shortener": _render_value(by_method.get(METHOD_SHORTENER)),
-            "social": _render_value(by_method.get(METHOD_SOCIAL)),
-            "backlinks": _render_value(by_method.get(METHOD_BACKLINKS)),
-            "search_index": _render_value(by_method.get(METHOD_SEARCH_INDEX)),
-            "archives": {
-                "earliest": _render_value(archives),
-                "by_archive": by_archive,
-            },
-        }
-    raise ValueError(f"unknown report style: {style!r}")
-
-
-def render_report_json(ce: CreationEstimate, style: str = "legacy") -> str:
-    return json.dumps(render_report(ce, style=style), indent=2)
+    block, earliest, by_archive_key = keys.archives
+    report[block] = {earliest: _render_value(archives), by_archive_key: by_archive}
+    return report

@@ -9,7 +9,7 @@ import os
 import sys
 from pathlib import Path
 
-from .aggregate import aggregate, render_report
+from .aggregate import REPORT_STYLES, aggregate, render_report
 from .core import (
     MalformedUri,
     normalize_uri,
@@ -25,7 +25,7 @@ from .evaluation import (
     summarize,
 )
 from .service import ServiceConfig, build_context, serve
-from .sources import gather_evidence
+from .sources import Endpoints, gather_evidence
 from .synth import SyntheticWorld, generate_world
 
 
@@ -55,6 +55,8 @@ def _config_from_args(args) -> ServiceConfig:
         kwargs["report_style"] = args.format
     if "enabled_methods" in kwargs:
         kwargs["enabled_methods"] = frozenset(kwargs["enabled_methods"])
+    if "endpoints" in kwargs:
+        kwargs["endpoints"] = Endpoints(**kwargs["endpoints"])
     return ServiceConfig(**kwargs)
 
 
@@ -65,7 +67,7 @@ def _add_transport_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--replay", metavar="PATH", help="replay from cassette")
     parser.add_argument("--record", metavar="PATH", help="record into cassette")
     parser.add_argument("--now", help="clock override, ISO 8601")
-    parser.add_argument("--format", choices=["legacy", "generic"])
+    parser.add_argument("--format", choices=list(REPORT_STYLES))
 
 
 def main(argv=None) -> int:
@@ -92,7 +94,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "serve":
-        serve(_config_from_args(args))
+        try:
+            config = _config_from_args(args)
+        except (OSError, TypeError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        serve(config)
         return 0
     if args.command == "batch":
         return _run_batch(args)
@@ -112,7 +119,7 @@ def _run_batch(args) -> int:
         config = _config_from_args(args)
         with open(args.input, "r", encoding="utf-8") as f:
             lines = [line.strip() for line in f if line.strip()]
-    except (OSError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     ctx = build_context(config)

@@ -6,7 +6,7 @@ interpolation between sorted deltas, integrated by both the composite
 trapezoidal and composite Simpson rules at a fixed fine spacing; the
 reported value is the average of the two. Normalizing makes the value
 comparable across dataset sizes (it equals the mean delta for piecewise
-linear curves); the raw-index axis is available for comparison runs.
+linear curves).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .aggregate import TIE_BREAK_ORDER
+from .aggregate import pick_least
 from .core import (
     CanonicalUri,
     MalformedUri,
@@ -32,8 +32,6 @@ from .core import (
 from .sources import ALL_METHODS
 
 AUC_SPACING = 0.0001
-
-GOLD_CATEGORIES = ("news", "social", "domain", "manual")
 
 
 class FormatError(ValueError):
@@ -122,12 +120,7 @@ def best_delta(
     method_deltas: dict[str, Optional[int]],
 ) -> tuple[Optional[int], Optional[str]]:
     """Minimum present delta and the method achieving it (fixed tie order)."""
-    present = {m: d for m, d in method_deltas.items() if d is not None}
-    if not present:
-        return None, None
-    least = min(present.values())
-    winner = next(m for m in TIE_BREAK_ORDER if present.get(m) == least)
-    return least, winner
+    return pick_least(method_deltas)
 
 
 def build_record(
@@ -144,32 +137,16 @@ def build_record(
     )
 
 
-def _interp_curve(deltas: Sequence[float], x_axis: str) -> tuple[np.ndarray, np.ndarray, float]:
-    ordered = np.sort(np.asarray(deltas, dtype=float))
-    n = len(ordered)
-    if x_axis == "normalized":
-        span = 1.0
-        xs = np.linspace(0.0, 1.0, n) if n > 1 else np.array([0.0, 1.0])
-    elif x_axis == "raw":
-        span = float(max(n - 1, 1))
-        xs = np.arange(n, dtype=float) if n > 1 else np.array([0.0, 1.0])
-    else:
-        raise ValueError(f"unknown x_axis: {x_axis!r}")
-    ys = ordered if n > 1 else np.array([ordered[0], ordered[0]])
-    return xs, ys, span
-
-
-def auc(
-    deltas: Sequence[float],
-    spacing: float = AUC_SPACING,
-    x_axis: str = "normalized",
-) -> float:
+def auc(deltas: Sequence[float], spacing: float = AUC_SPACING) -> float:
     """Average of trapezoid and Simpson integrals of the sorted-delta curve."""
     if len(deltas) == 0:
         raise EmptyInput("no deltas to integrate")
-    xs, ys, span = _interp_curve(deltas, x_axis)
+    ys = np.sort(np.asarray(deltas, dtype=float))
+    if len(ys) == 1:  # a single delta is a flat curve over [0, 1]
+        ys = np.array([ys[0], ys[0]])
+    xs = np.linspace(0.0, 1.0, len(ys))
     # Even interval count so composite Simpson applies directly.
-    intervals = max(2, int(round(span / spacing)))
+    intervals = max(2, int(round(1.0 / spacing)))
     if intervals % 2:
         intervals += 1
     grid = np.linspace(xs[0], xs[-1], intervals + 1)
@@ -188,9 +165,6 @@ class QuadraticFit:
     b: float
     c: float
     residual: float
-
-    def __iter__(self):
-        return iter((self.a, self.b, self.c))
 
 
 def polyfit2(points: Sequence[tuple[float, float]]) -> QuadraticFit:
@@ -219,7 +193,6 @@ class EvalSummary:
     method_contributed: dict[str, int]
     auc_full: Optional[float]
     ablations: dict[str, dict] = field(default_factory=dict)
-    fit: Optional[QuadraticFit] = None
 
     @property
     def estimated_fraction(self) -> float:
@@ -233,7 +206,7 @@ class EvalSummary:
         methods = sorted(
             set(self.method_best) | set(self.method_contributed)
         )
-        out = {
+        return {
             "n": self.n,
             "estimated": {
                 "count": self.estimated_count,
@@ -253,14 +226,6 @@ class EvalSummary:
             "auc": self.auc_full,
             "ablations": self.ablations,
         }
-        if self.fit is not None:
-            out["fit"] = {
-                "a": self.fit.a,
-                "b": self.fit.b,
-                "c": self.fit.c,
-                "residual": self.fit.residual,
-            }
-        return out
 
 
 def summarize(records: Sequence[EvalRecord]) -> EvalSummary:

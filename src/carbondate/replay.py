@@ -43,15 +43,10 @@ class Interaction:
     method: str
     url: str
     response: HttpResponse
-    request_headers: dict[str, str] = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
-            "request": {
-                "method": self.method,
-                "url": self.url,
-                "headers": self.request_headers,
-            },
+            "request": {"method": self.method, "url": self.url},
             "response": {
                 "status": self.response.status,
                 "headers": self.response.headers,
@@ -68,7 +63,6 @@ class Interaction:
         return cls(
             method=req["method"].upper(),
             url=req["url"],
-            request_headers=dict(req.get("headers", {})),
             response=HttpResponse(
                 status=status,
                 headers=dict(resp.get("headers", {})),
@@ -113,7 +107,6 @@ class Cassette:
         self.entries[key] = Interaction(
             method=interaction.method,
             url=interaction.url,
-            request_headers=interaction.request_headers,
             response=HttpResponse(
                 status=interaction.response.status,
                 headers=clean_headers,

@@ -7,12 +7,13 @@ server (the CLI uses wsgiref) and invoked directly in tests.
 from __future__ import annotations
 
 import json
+import logging
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 from urllib.parse import unquote
 
-from .aggregate import aggregate, render_report
+from .aggregate import REPORT_STYLES, aggregate, render_report
 from .core import MalformedUri, PlausibilityWindow, normalize_uri
 from .replay import Cassette, LiveTransport, RecordingTransport, ReplayTransport
 from .sources import ALL_METHODS, Endpoints, SourceContext, gather_evidence
@@ -39,6 +40,11 @@ class ServiceConfig:
             raise ValueError(f"{self.mode} mode requires a cassette path")
         if not self.enabled_methods:
             raise ValueError("at least one method must be enabled")
+        unknown = set(self.enabled_methods) - ALL_METHODS
+        if unknown:
+            raise ValueError(f"unknown methods: {sorted(unknown)}")
+        if self.report_style not in REPORT_STYLES:
+            raise ValueError(f"unknown report style: {self.report_style!r}")
 
 
 def build_context(config: ServiceConfig) -> SourceContext:
@@ -106,6 +112,9 @@ def make_app(config: ServiceConfig, ctx: Optional[SourceContext] = None):
             report = estimate_for(raw, ctx, config)
         except MalformedUri as exc:
             return _respond(start_response, 400, {"error": str(exc)})
+        except Exception as exc:
+            logging.getLogger(__name__).exception("estimate failed for %r", raw)
+            return _respond(start_response, 500, {"error": f"internal: {exc}"})
         return _respond(start_response, 200, report)
 
     return app
@@ -113,7 +122,9 @@ def make_app(config: ServiceConfig, ctx: Optional[SourceContext] = None):
 
 def _respond(start_response, status: int, body: dict):
     payload = json.dumps(body, indent=2).encode("utf-8")
-    reason = {200: "OK", 400: "Bad Request", 404: "Not Found"}.get(status, "")
+    reason = {
+        200: "OK", 400: "Bad Request", 404: "Not Found", 500: "Internal Server Error"
+    }.get(status, "")
     start_response(
         f"{status} {reason}",
         [

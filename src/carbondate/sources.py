@@ -10,13 +10,13 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 from urllib.parse import quote
 
 from .core import (
     CanonicalUri,
     PlausibilityWindow,
-    UnparsableDate,
     day_to_timestamp,
     filter_plausible,
     normalize_uri,
@@ -24,10 +24,8 @@ from .core import (
     parse_iso_day,
     parse_iso_timestamp,
 )
-from .replay import UnmatchedInteraction
 from .timemaps import (
     FetchFailed,
-    MalformedTimemap,
     earliest_memento,
     first_linking_memento,
     parse_timemap,
@@ -55,7 +53,6 @@ SOCIAL_POST_LIMIT = 500
 SEARCH_WINDOW_YEARS = 15
 
 FLAG_CLIPPED_WINDOW = "clipped_window"
-FLAG_NON_MONOTONE = "non_monotone_backlink"
 FLAG_PARTIAL_FETCH = "partial_fetch"
 
 
@@ -129,11 +126,34 @@ def _error(method: str, message: str, **kw) -> EvidenceResult:
     return EvidenceResult(method=method, status="error", error=message, **kw)
 
 
-def _get_json(ctx: SourceContext, url: str):
-    resp = ctx.transport.request("GET", url)
+def _dated(
+    method: str, raw: str, parse: Callable[[str], int], ctx: SourceContext, **kw
+) -> EvidenceResult:
+    """ok with parse(raw) when it parses and is plausible; otherwise empty,
+    keeping raw in detail under "unparsable" or "implausible"."""
+    try:
+        t = parse(raw)
+    except ValueError:
+        return _empty(method, detail={"unparsable": raw})
+    t = filter_plausible(t, ctx.window)
+    if t is None:
+        return _empty(method, detail={"implausible": raw})
+    return _ok(method, t, **kw)
+
+
+def _fetch(ctx: SourceContext, url: str) -> str:
+    """Body of a GET; a transport failure or a non-200 raises FetchFailed."""
+    try:
+        resp = ctx.transport.request("GET", url)
+    except Exception as exc:
+        raise FetchFailed(str(exc)) from exc
     if resp.status != 200:
-        raise FetchFailed(f"HTTP {resp.status} for {url}")
-    return json.loads(resp.body)
+        raise FetchFailed(f"HTTP {resp.status} for {url}", status=resp.status)
+    return resp.body
+
+
+def _get_json(ctx: SourceContext, url: str):
+    return json.loads(_fetch(ctx, url))
 
 
 def probe_last_modified(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
@@ -146,30 +166,17 @@ def probe_last_modified(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult
     value = resp.header("Last-Modified")
     if value is None:
         return _empty(method)
-    try:
-        t = parse_http_date(value)
-    except UnparsableDate:
-        return _empty(method, detail={"unparsable": value})
-    t = filter_plausible(t, ctx.window)
-    if t is None:
-        return _empty(method, detail={"implausible": value})
-    return _ok(method, t)
+    return _dated(method, value, parse_http_date, ctx)
 
 
 def query_archives(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
     """Earliest capture across all public archives, with a per-archive map."""
     method = METHOD_ARCHIVES
     try:
-        resp = ctx.transport.request("GET", ctx.endpoints.timemap_url(str(uri)))
+        tm = parse_timemap(_fetch(ctx, ctx.endpoints.timemap_url(str(uri))), uri)
     except Exception as exc:
-        return _error(method, str(exc))
-    if resp.status == 404:
-        return _empty(method)
-    if resp.status != 200:
-        return _error(method, f"HTTP {resp.status} from timemap service")
-    try:
-        tm = parse_timemap(resp.body, uri)
-    except MalformedTimemap as exc:
+        if isinstance(exc, FetchFailed) and exc.status == 404:
+            return _empty(method)
         return _error(method, str(exc))
     overall = earliest_memento(tm, ctx.window)
     if overall is None:
@@ -189,13 +196,9 @@ def query_shortener(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
     method = METHOD_SHORTENER
     try:
         lookup = _get_json(ctx, ctx.endpoints.shortener_lookup_url(str(uri)))
-    except UnmatchedInteraction as exc:
-        return _error(method, f"lookup failed: {exc}")
-    except FetchFailed as exc:
-        if "HTTP 404" in str(exc):
-            return _empty(method)
-        return _error(method, f"lookup failed: {exc}")
     except Exception as exc:
+        if isinstance(exc, FetchFailed) and exc.status == 404:
+            return _empty(method)
         return _error(method, f"lookup failed: {exc}")
     short_id = lookup.get("id")
     if not short_id:
@@ -207,14 +210,7 @@ def query_shortener(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
     created = info.get("created_at")
     if not created:
         return _empty(method, detail={"id": short_id})
-    try:
-        t = parse_iso_timestamp(created)
-    except ValueError:
-        return _empty(method, detail={"unparsable": created})
-    t = filter_plausible(t, ctx.window)
-    if t is None:
-        return _empty(method, detail={"implausible": created})
-    return _ok(method, t, detail={"id": short_id})
+    return _dated(method, created, parse_iso_timestamp, ctx, detail={"id": short_id})
 
 
 def query_social(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
@@ -264,14 +260,13 @@ def query_search_index(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
     crawl_date = data.get("crawl_date")
     if not crawl_date:
         return _empty(method)
-    try:
-        day = parse_iso_day(crawl_date)
-    except ValueError:
-        return _empty(method, detail={"unparsable": crawl_date})
-    t = filter_plausible(day_to_timestamp(day), ctx.window)
-    if t is None:
-        return _empty(method, detail={"implausible": crawl_date})
-    return _ok(method, t, granularity="day")
+    return _dated(
+        method,
+        crawl_date,
+        lambda s: day_to_timestamp(parse_iso_day(s)),
+        ctx,
+        granularity="day",
+    )
 
 
 def query_backlinks(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
@@ -290,42 +285,24 @@ def query_backlinks(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
     if not backlinks:
         return _empty(method)
 
-    def fetch_body(capture_uri: str) -> str:
-        try:
-            resp = ctx.transport.request("GET", capture_uri)
-        except Exception as exc:
-            raise FetchFailed(str(exc)) from exc
-        if resp.status != 200:
-            raise FetchFailed(f"HTTP {resp.status} for {capture_uri}")
-        return resp.body
-
     first_seen: list[int] = []
     flags: set[str] = set()
-    per_backlink: dict[str, Optional[str]] = {}
     for raw in backlinks:
         try:
             backlink = normalize_uri(raw)
         except ValueError:
             continue
         try:
-            resp = ctx.transport.request(
-                "GET", ctx.endpoints.timemap_url(str(backlink))
+            tm = parse_timemap(
+                _fetch(ctx, ctx.endpoints.timemap_url(str(backlink))), backlink
             )
-            if resp.status != 200:
-                flags.add(FLAG_PARTIAL_FETCH)
-                continue
-            tm = parse_timemap(resp.body, backlink)
         except Exception:
             flags.add(FLAG_PARTIAL_FETCH)
             continue
-        result = first_linking_memento(tm, uri, fetch_body)
+        result = first_linking_memento(tm, uri, partial(_fetch, ctx))
         if result.degraded:
             flags.add(FLAG_PARTIAL_FETCH)
-        if result.found_at is None:
-            per_backlink[str(backlink)] = None
-            continue
         t = filter_plausible(result.found_at, ctx.window)
-        per_backlink[str(backlink)] = str(result.found_at)
         if t is not None:
             first_seen.append(t)
     if not first_seen:

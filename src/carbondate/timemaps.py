@@ -31,7 +31,11 @@ class MalformedTimemap(ValueError):
 
 
 class FetchFailed(RuntimeError):
-    """A capture body could not be retrieved."""
+    """A body could not be retrieved; status is the HTTP answer, if any."""
+
+    def __init__(self, message: str, status: Optional[int] = None):
+        super().__init__(message)
+        self.status = status
 
 
 @dataclass(frozen=True)

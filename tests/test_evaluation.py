@@ -167,13 +167,6 @@ class TestAuc:
         raised = auc([d + bump for d in deltas])
         assert raised >= base - 1e-9
 
-    def test_raw_axis_scales_with_n(self):
-        deltas = [0, 10]
-        assert auc(deltas, x_axis="raw") == pytest.approx(5.0, abs=1e-6)
-        deltas = [0, 5, 10]
-        # Raw axis integrates over [0, n-1], not [0, 1].
-        assert auc(deltas, x_axis="raw") == pytest.approx(10.0, abs=1e-4)
-
 
 class TestPolyfit2:
     def test_exact_quadratic(self):

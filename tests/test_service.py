@@ -39,6 +39,10 @@ class TestServiceConfig:
             ServiceConfig(mode="replay")
         with pytest.raises(ValueError):
             ServiceConfig(enabled_methods=frozenset())
+        with pytest.raises(ValueError):
+            ServiceConfig(enabled_methods=frozenset({"archives", "astrology"}))
+        with pytest.raises(ValueError):
+            ServiceConfig(report_style="xml")
 
 
 class TestEndpoint:
@@ -71,6 +75,16 @@ class TestEndpoint:
         status, _, body = call(app, "/cd/http://nothing.example.com/")
         assert status == 200
         assert json.loads(body)["Estimated Creation Date"] == ""
+
+    def test_unexpected_error_is_json_500(self, replay_app, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("probe wiring broke")
+
+        monkeypatch.setattr("carbondate.service.gather_evidence", broken)
+        status, headers, body = call(replay_app, "/cd/http://www.mementoweb.org")
+        assert status == 500
+        assert headers["Content-Type"].startswith("application/json")
+        assert "probe wiring broke" in json.loads(body)["error"]
 
     def test_replay_deterministic_byte_identical(self, replay_app):
         first = call(replay_app, "/cd/http://www.mementoweb.org")
@@ -127,6 +141,33 @@ class TestBatchCli:
     def test_unreadable_input_is_nonzero(self, tmp_path, capsys):
         rc = main(["batch", str(tmp_path / "missing.txt")])
         assert rc == 1
+
+    def test_config_file_endpoints(
+        self, tmp_path, monkeypatch, capsys, mementoweb_cassette_path
+    ):
+        # The fixture's upstreams sit at the default endpoints; pointing the
+        # timemap elsewhere must turn archives off, so social wins instead.
+        uris = tmp_path / "uris.txt"
+        uris.write_text("http://www.mementoweb.org\n")
+        config = tmp_path / "config.json"
+        monkeypatch.setenv("CARBONDATE_CONFIG", str(config))
+        out = tmp_path / "out.jsonl"
+        argv = [
+            "batch", str(uris), "--replay", mementoweb_cassette_path, "--out", str(out),
+        ]
+
+        endpoints = {"timemap_base": "http://tm.invalid/"}
+        config.write_text(json.dumps({"endpoints": endpoints}))
+        assert main(argv) == 0
+        report = json.loads(out.read_text())
+        assert report["Archives"] == {"Earliest": "", "By Archive": {}}
+        assert report["Estimated Creation Date"] == "2009-11-09T20:53:20"
+
+        misspelled = {"timemap": "http://tm.invalid/"}
+        config.write_text(json.dumps({"endpoints": misspelled}))
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestEvalCli:

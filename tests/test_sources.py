@@ -75,6 +75,12 @@ class TestLastModified:
         ctx = make_ctx([])
         assert probe_last_modified(URI, ctx).status == "error"
 
+    def test_unparsable_header_is_empty(self):
+        ctx = make_ctx([("HEAD", str(URI), head_resp("last tuesday"))])
+        r = probe_last_modified(URI, ctx)
+        assert r.status == "empty"
+        assert r.detail == {"unparsable": "last tuesday"}
+
 
 class TestArchives:
     def timemap_body(self, entries):
@@ -150,6 +156,31 @@ class TestShortener:
         assert r.status == "error"
         assert "info query failed" in r.error
 
+    def test_lookup_404_is_empty(self):
+        ctx = make_ctx([
+            ("GET", EP.shortener_lookup_url(str(URI)), jresp({}, status=404)),
+        ])
+        r = query_shortener(URI, ctx)
+        assert r.status == "empty"
+        assert r.error is None
+
+    def test_lookup_500_is_error(self):
+        ctx = make_ctx([
+            ("GET", EP.shortener_lookup_url(str(URI)), jresp({}, status=500)),
+        ])
+        r = query_shortener(URI, ctx)
+        assert r.status == "error"
+        assert r.error.startswith("lookup failed: HTTP 500")
+
+    def test_unparsable_created_at_is_empty(self):
+        ctx = make_ctx([
+            ("GET", EP.shortener_lookup_url(str(URI)), jresp({"id": "abc"})),
+            ("GET", EP.shortener_info_url("abc"), jresp({"created_at": "soon"})),
+        ])
+        r = query_shortener(URI, ctx)
+        assert r.status == "empty"
+        assert r.detail == {"unparsable": "soon"}
+
 
 class TestSocial:
     def posts(self, isos):
@@ -217,6 +248,14 @@ class TestSearchIndex:
             ("GET", EP.crawl_url(str(URI)), jresp({"crawl_date": "2021-01-01"})),
         ])
         assert query_search_index(URI, ctx).status == "empty"
+
+    def test_unparsable_day_is_empty(self):
+        ctx = make_ctx([
+            ("GET", EP.crawl_url(str(URI)), jresp({"crawl_date": "16/11/2009"})),
+        ])
+        r = query_search_index(URI, ctx)
+        assert r.status == "empty"
+        assert r.detail == {"unparsable": "16/11/2009"}
 
 
 class TestBacklinks:
