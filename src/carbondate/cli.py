@@ -25,7 +25,7 @@ from .evaluation import (
     summarize,
 )
 from .service import ServiceConfig, build_context, serve
-from .sources import Endpoints, gather_evidence
+from .sources import ALL_METHODS, Endpoints, gather_evidence
 from .synth import SyntheticWorld, generate_world
 
 
@@ -39,9 +39,9 @@ def _config_from_args(args) -> ServiceConfig:
         kwargs["listen"] = args.listen
     if getattr(args, "sources", None):
         kwargs["enabled_methods"] = frozenset(args.sources.split(","))
-    if getattr(args, "timeout_ms", None):
+    if getattr(args, "timeout_ms", None) is not None:
         kwargs["timeout_ms"] = args.timeout_ms
-    if getattr(args, "parallelism", None):
+    if getattr(args, "parallelism", None) is not None:
         kwargs["parallelism"] = args.parallelism
     if getattr(args, "replay", None):
         kwargs["mode"] = "replay"
@@ -96,10 +96,11 @@ def main(argv=None) -> int:
     if args.command == "serve":
         try:
             config = _config_from_args(args)
+            ctx = build_context(config)
         except (OSError, TypeError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        serve(config)
+        serve(config, ctx)
         return 0
     if args.command == "batch":
         return _run_batch(args)
@@ -119,10 +120,10 @@ def _run_batch(args) -> int:
         config = _config_from_args(args)
         with open(args.input, "r", encoding="utf-8") as f:
             lines = [line.strip() for line in f if line.strip()]
+        ctx = build_context(config)
     except (OSError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    ctx = build_context(config)
     sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for raw in lines:
@@ -159,24 +160,32 @@ def eval_main(argv=None) -> int:
     parser.add_argument("--now", help="clock override, ISO 8601")
     parser.add_argument("--out", metavar="DIR", help="write reports here")
     args = parser.parse_args(argv)
+    unknown = sorted(set(args.ablate) - ALL_METHODS)
+    if unknown:
+        print(f"error: unknown --ablate methods: {unknown}", file=sys.stderr)
+        return 1
 
-    config = ServiceConfig(
-        mode="replay",
-        cassette_path=args.replay,
-        now_override=parse_iso_timestamp(args.now) if args.now else None,
-    )
     try:
+        config = ServiceConfig(
+            mode="replay",
+            cassette_path=args.replay,
+            now_override=parse_iso_timestamp(args.now) if args.now else None,
+        )
         ctx = build_context(config)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if args.world:
-        world = SyntheticWorld.load(args.world)
-        truths = [(r.uri, truncate_to_day(r.true_creation)) for r in world.resources]
-    else:
-        gold = load_gold(args.gold, ctx.window)
-        truths = [(str(g.uri), g.real_date) for g in gold]
+    try:
+        if args.world:
+            world = SyntheticWorld.load(args.world)
+            truths = [(r.uri, truncate_to_day(r.true_creation)) for r in world.resources]
+        else:
+            gold = load_gold(args.gold, ctx.window)
+            truths = [(str(g.uri), g.real_date) for g in gold]
+    except (OSError, ValueError) as exc:  # FormatError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     records = []
     for raw_uri, real in truths:

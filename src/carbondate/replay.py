@@ -9,8 +9,9 @@ never participate in the key.
 from __future__ import annotations
 
 import json
+import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 from urllib.parse import parse_qsl, urlencode, urlsplit, urlunsplit
 
@@ -71,9 +72,16 @@ class Interaction:
         )
 
 
+# A URL urlsplit/urlunsplit would return unchanged: lowercase scheme and a
+# non-empty lowercase host, a path, and no query or fragment.
+_CANONICAL_URL = re.compile(r"https?://[a-z0-9.-]+(?::[0-9]*)?/[^?#\s]*")
+
+
 def match_key(method: str, url: str) -> tuple[str, str]:
     """Canonical lookup key: upper method + URL with lowercased scheme/host
     and sorted query parameters."""
+    if _CANONICAL_URL.fullmatch(url):
+        return method.upper(), url
     parts = urlsplit(url)
     query = urlencode(sorted(parse_qsl(parts.query, keep_blank_values=True)))
     normalized = urlunsplit(
@@ -99,23 +107,23 @@ class Cassette:
         key = match_key(interaction.method, interaction.url)
         if key in self.entries:
             return False
-        clean_headers = {
-            k: v
-            for k, v in interaction.response.headers.items()
-            if k.lower() not in self.volatile_headers
-        }
-        self.entries[key] = Interaction(
-            method=interaction.method,
-            url=interaction.url,
-            response=HttpResponse(
-                status=interaction.response.status,
-                headers=clean_headers,
-                body=interaction.response.body,
-            ),
-        )
+        response = interaction.response
+        if any(k.lower() in self.volatile_headers for k in response.headers):
+            clean = {
+                k: v
+                for k, v in response.headers.items()
+                if k.lower() not in self.volatile_headers
+            }
+            interaction = replace(interaction, response=replace(response, headers=clean))
+        self.entries[key] = interaction
         return True
 
     def lookup(self, method: str, url: str) -> Interaction:
+        # A request for exactly the recorded URL needs no normalizing. The
+        # url test matters: match_key is not idempotent on every string.
+        hit = self.entries.get((method, url))
+        if hit is not None and hit.url == url:
+            return hit
         key = match_key(method, url)
         try:
             return self.entries[key]
@@ -139,15 +147,23 @@ class Cassette:
             lines = [line for line in f if line.strip()]
         if not lines:
             raise ValueError(f"empty cassette file: {path}")
-        header = json.loads(lines[0])
-        cassette = cls(
-            recorded_at=parse_iso_timestamp(header["recorded_at"]),
-            volatile_headers=tuple(
-                h.lower() for h in header.get("volatile_headers", [])
-            ),
-        )
-        for line in lines[1:]:
-            cassette.add(Interaction.from_json(json.loads(line)))
+        try:
+            header = json.loads(lines[0])
+            if header.get("version") != CASSETTE_VERSION:
+                raise ValueError(
+                    f"unsupported cassette version {header.get('version')!r} in"
+                    f" {path}; expected {CASSETTE_VERSION}"
+                )
+            cassette = cls(
+                recorded_at=parse_iso_timestamp(header["recorded_at"]),
+                volatile_headers=tuple(
+                    h.lower() for h in header.get("volatile_headers", [])
+                ),
+            )
+            for line in lines[1:]:
+                cassette.add(Interaction.from_json(json.loads(line)))
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed cassette {path}: {exc!r}") from exc
         return cassette
 
 
@@ -155,7 +171,10 @@ class ReplayTransport:
     """Serves recorded responses; raises UnmatchedInteraction otherwise.
 
     Read-only after construction, so concurrent lookups are safe.
+    Answers come from memory, so callers need not overlap requests.
     """
+
+    blocking = False
 
     def __init__(self, cassette: Cassette):
         self.cassette = cassette

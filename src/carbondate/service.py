@@ -135,10 +135,10 @@ def _respond(start_response, status: int, body: dict):
     return [payload]
 
 
-def serve(config: ServiceConfig) -> None:
+def serve(config: ServiceConfig, ctx: Optional[SourceContext] = None) -> None:
     """Run the API on config.listen until interrupted."""
     from wsgiref.simple_server import make_server
 
     host, _, port = config.listen.partition(":")
-    server = make_server(host or "127.0.0.1", int(port or 8000), make_app(config))
+    server = make_server(host or "127.0.0.1", int(port or 8000), make_app(config, ctx))
     server.serve_forever()

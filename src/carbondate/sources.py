@@ -96,7 +96,7 @@ class SourceContext:
     transport: object
     window: PlausibilityWindow
     endpoints: Endpoints = field(default_factory=Endpoints)
-    parallelism: int = 6
+    parallelism: int = 6  # only for transports that block; others run inline
 
 
 @dataclass(frozen=True)
@@ -332,8 +332,11 @@ def gather_evidence(
 ) -> list[EvidenceResult]:
     """Run every enabled source, failures isolated, one result per method.
 
-    Sources fan out concurrently up to ctx.parallelism; results come back
-    in method-name order so concurrency never changes the output.
+    Sources fan out concurrently up to ctx.parallelism, unless the
+    transport declares ``blocking = False`` (it answers from memory, so
+    threads would only add overhead) and they run one after another on the
+    caller's thread. Results come back in method-name order so concurrency
+    never changes the output.
     """
     methods = sorted(enabled if enabled is not None else ALL_METHODS)
     if not methods:
@@ -348,7 +351,8 @@ def gather_evidence(
         except Exception as exc:  # probes should not raise; belt and braces
             return _error(method, f"internal: {exc}")
 
-    if ctx.parallelism <= 1 or len(methods) == 1:
+    inline = not getattr(ctx.transport, "blocking", True)
+    if inline or ctx.parallelism <= 1 or len(methods) == 1:
         return [run(m) for m in methods]
     with ThreadPoolExecutor(max_workers=min(ctx.parallelism, len(methods))) as pool:
         return list(pool.map(run, methods))

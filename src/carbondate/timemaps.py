@@ -58,20 +58,11 @@ class Timemap:
     mementos: tuple[Memento, ...] = field(default_factory=tuple)
 
 
-def _split_top_level(text: str, sep: str) -> list[str]:
-    """Split on sep, ignoring separators inside double-quoted strings."""
-    out, buf, quoted = [], [], False
-    for ch in text:
-        if ch == '"':
-            quoted = not quoted
-            buf.append(ch)
-        elif ch == sep and not quoted:
-            out.append("".join(buf))
-            buf = []
-        else:
-            buf.append(ch)
-    out.append("".join(buf))
-    return out
+# The non-empty pieces between separators outside double quotes, since
+# quoted values may contain them (RFC 6690 section 2). An unbalanced quote
+# runs to the end of the text.
+_TOP_LEVEL_ENTRIES = re.compile(r'(?:[^,"]+|"[^"]*"?)+')
+_TOP_LEVEL_PARAMS = re.compile(r'(?:[^;"]+|"[^"]*"?)+')
 
 
 _ENTRY = re.compile(r"^\s*<([^>]*)>\s*(.*)$", re.DOTALL)
@@ -83,7 +74,7 @@ def _parse_entry(entry: str) -> Optional[tuple[str, dict[str, str]]]:
         return None
     target, rest = m.groups()
     params: dict[str, str] = {}
-    for param in _split_top_level(rest, ";"):
+    for param in _TOP_LEVEL_PARAMS.findall(rest):
         param = param.strip()
         if not param or "=" not in param:
             continue
@@ -105,7 +96,7 @@ def parse_timemap(body: str, original: CanonicalUri) -> Timemap:
     """
     parsed_any = False
     mementos: list[Memento] = []
-    for entry in _split_top_level(body, ","):
+    for entry in _TOP_LEVEL_ENTRIES.findall(body):
         if not entry.strip():
             continue
         parsed = _parse_entry(entry)

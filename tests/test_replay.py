@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import json
+from urllib.parse import parse_qsl, urlencode, urlsplit, urlunsplit
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from carbondate.core import parse_iso_timestamp
 from carbondate.replay import (
@@ -37,7 +42,39 @@ class StubTransport:
         return self.responses[(method, url)]
 
 
+def urllib_key(method, url):
+    """match_key without its fast path: the urllib round trip alone."""
+    parts = urlsplit(url)
+    query = urlencode(sorted(parse_qsl(parts.query, keep_blank_values=True)))
+    return method.upper(), urlunsplit(
+        (parts.scheme.lower(), parts.netloc.lower(), parts.path or "/", query, "")
+    )
+
+
+CANONICAL_URLS = st.from_regex(
+    r"https?://[a-z0-9.-]+(?::[0-9]*)?/[^?#\s]*", fullmatch=True
+)
+URL_PIECES = st.builds(
+    "".join,
+    st.lists(
+        st.sampled_from(
+            ["http", "HTTPS", ":", "//", "/", "E.com", "e.com", ":80", "?", "#",
+             "b=2", "&", "a=1", "=", " ", "\t", "%20", "x", "", "\x00", "\u00e9"]
+        ),
+        max_size=10,
+    ),
+)
+URLS = st.one_of(CANONICAL_URLS, URL_PIECES, st.text(max_size=30))
+
+
 class TestMatchKey:
+    @settings(max_examples=300, deadline=None)
+    @given(url=URLS, method=st.sampled_from(["GET", "get", "Head"]))
+    @example(url="http:////", method="GET")
+    @example(url="http://e.com/a b", method="GET")
+    def test_fast_path_equals_urllib_path(self, url, method):
+        assert match_key(method, url) == urllib_key(method, url)
+
     def test_host_case_insensitive(self):
         assert match_key("get", "http://EXAMPLE.com/a") == match_key(
             "GET", "http://example.com/a"
@@ -73,6 +110,36 @@ class TestReplay:
         first = t.request("HEAD", "http://example.com/")
         second = t.request("HEAD", "http://example.com/")
         assert first == second
+
+
+class TestLookupFastPath:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        recorded=st.lists(
+            st.tuples(st.sampled_from(["GET", "get", "HEAD"]), URLS), max_size=8
+        ),
+        requested=st.tuples(st.sampled_from(["GET", "get", "HEAD", "head"]), URLS),
+        pick=st.integers(min_value=0),
+    )
+    @example(recorded=[("GET", "http:////")], requested=("GET", "http://"), pick=0)
+    @example(recorded=[("GET", "HTTP:////a")], requested=("GET", "http://a"), pick=0)
+    @example(recorded=[("get", "http://e.com/")], requested=("GET", "http://e.com/"), pick=1)
+    def test_equals_normalize_first_reference(self, recorded, requested, pick):
+        # Half the time request exactly a recorded URL, to hit the dict first.
+        if recorded and pick % 2:
+            requested = (requested[0], recorded[pick % len(recorded)][1])
+        c = Cassette(recorded_at=NOW)
+        reference = {}
+        for i, (method, url) in enumerate(recorded):
+            entry = interaction(method=method, url=url, body=str(i))
+            c.add(entry)
+            reference.setdefault(urllib_key(method, url), entry)
+        expected = reference.get(urllib_key(*requested))
+        if expected is None:
+            with pytest.raises(UnmatchedInteraction):
+                c.lookup(*requested)
+        else:
+            assert c.lookup(*requested) == expected
 
 
 class TestRecording:
@@ -132,5 +199,30 @@ class TestCassetteFile:
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
+        with pytest.raises(ValueError):
+            Cassette.load(str(path))
+
+    def write_cassette(self, path, header):
+        lines = [json.dumps(header), json.dumps(interaction().to_json())]
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("version", [None, 0, 2, "1"])
+    def test_other_version_rejected(self, tmp_path, version):
+        header = {"recorded_at": "2013-03-01T00:00:00"}
+        if version is not None:
+            header["version"] = version
+        path = tmp_path / "c.jsonl"
+        self.write_cassette(path, header)
+        with pytest.raises(ValueError, match="version"):
+            Cassette.load(str(path))
+
+    @pytest.mark.parametrize("header", [
+        {"version": 1, "recorded_at": "garbage"},
+        {"version": 1},
+        [1],
+    ])
+    def test_malformed_header_is_value_error(self, tmp_path, header):
+        path = tmp_path / "c.jsonl"
+        self.write_cassette(path, header)
         with pytest.raises(ValueError):
             Cassette.load(str(path))

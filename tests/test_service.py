@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import carbondate.cli as cli
 from carbondate.cli import eval_main, main
 from carbondate.core import parse_iso_timestamp
 from carbondate.replay import Cassette
@@ -170,6 +171,42 @@ class TestBatchCli:
         assert capsys.readouterr().err.startswith("error:")
 
 
+class TestCliInputErrors:
+    @pytest.fixture
+    def batch_argv(self, tmp_path):
+        _, cassette = generate_world(seed=25, n=1)
+        cassette.save(str(tmp_path / "c.jsonl"))
+        (tmp_path / "uris.txt").write_text("http://a.example/\n")
+        return ["batch", str(tmp_path / "uris.txt"), "--replay", str(tmp_path / "c.jsonl")]
+
+    @pytest.mark.parametrize("flag", ["--timeout-ms", "--parallelism"])
+    def test_zero_reaches_validation(self, batch_argv, flag, capsys):
+        assert main(batch_argv + [flag, "0"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["batch", "serve"])
+    @pytest.mark.parametrize("header", [
+        None,
+        {"version": 1, "recorded_at": "garbage"},
+        {"version": 2, "recorded_at": "2013-03-01T00:00:00"},
+    ])
+    def test_bad_cassette_is_error_line(self, tmp_path, capsys, monkeypatch, command, header):
+        def no_serving(*args, **kwargs):
+            raise AssertionError("started serving a cassette that did not load")
+
+        monkeypatch.setattr(cli, "serve", no_serving)
+        cassette = tmp_path / "c.jsonl"
+        if header is not None:
+            cassette.write_text(json.dumps(header) + "\n")
+        uris = tmp_path / "uris.txt"
+        uris.write_text("http://a.example/\n")
+        argv = [command, "--replay", str(cassette)]
+        if command == "batch":
+            argv.append(str(uris))
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestEvalCli:
     def test_world_evaluation(self, tmp_path, capsys):
         world, cassette = generate_world(seed=23, n=10)
@@ -209,3 +246,30 @@ class TestEvalCli:
         assert rc == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["n"] == 4
+
+    def test_unknown_ablation_rejected_before_scoring(self, tmp_path, capsys, monkeypatch):
+        world, cassette = generate_world(seed=26, n=2)
+        cassette.save(str(tmp_path / "c.jsonl"))
+        world.save(str(tmp_path / "world.json"))
+
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("scored a URI before validating --ablate")
+
+        monkeypatch.setattr(cli, "gather_evidence", no_scoring)
+        rc = eval_main([
+            "--world", str(tmp_path / "world.json"),
+            "--replay", str(tmp_path / "c.jsonl"),
+            "--ablate", "social",
+            "--ablate", "astrology",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_bad_gold_row_is_error_line(self, tmp_path, capsys):
+        _, cassette = generate_world(seed=27, n=1)
+        cassette.save(str(tmp_path / "c.jsonl"))
+        gold = tmp_path / "gold.csv"
+        gold.write_text("uri,real_date,category\nhttp://a.example/,1990-01-01,news\n")
+        rc = eval_main(["--gold", str(gold), "--replay", str(tmp_path / "c.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
+
+import carbondate.sources as sources
 
 from carbondate.core import (
     PlausibilityWindow,
@@ -25,6 +28,7 @@ from carbondate.sources import (
     query_shortener,
     query_social,
 )
+from carbondate.synth import generate_world
 
 NOW = parse_iso_timestamp("2013-03-01T04:44:47")
 URI = normalize_uri("http://site.example.com/")
@@ -337,3 +341,52 @@ class TestGatherEvidence:
         ctx = make_ctx([])
         with pytest.raises(ValueError):
             gather_evidence(URI, ctx, enabled=frozenset())
+
+
+class CountingTransport:
+    """A wrapper that declares nothing about blocking, as live and recording
+    transports do; notes which threads made requests."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.threads = set()
+
+    def request(self, method, url):
+        self.threads.add(threading.get_ident())
+        return self.inner.request(method, url)
+
+
+class TestConcurrencyPaths:
+    @pytest.fixture(scope="class")
+    def world(self):
+        return generate_world(seed=7, n=60)
+
+    @staticmethod
+    def ctx_for(transport, cassette):
+        return SourceContext(
+            transport=transport,
+            window=PlausibilityWindow(now=cassette.recorded_at),
+            parallelism=6,
+        )
+
+    def test_replay_starts_no_thread(self, world, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("replay must run on the caller's thread")
+
+        monkeypatch.setattr(sources, "ThreadPoolExecutor", no_pool)
+        resources, cassette = world[0].resources, world[1]
+        ctx = self.ctx_for(ReplayTransport(cassette), cassette)
+        for r in resources[:10]:
+            results = gather_evidence(normalize_uri(r.uri), ctx)
+            assert [e.method for e in results] == sorted(ALL_METHODS)
+            assert not any((e.error or "").startswith("internal") for e in results)
+
+    def test_blocking_transport_fans_out_to_identical_evidence(self, world):
+        resources, cassette = world[0].resources, world[1]
+        inline = self.ctx_for(ReplayTransport(cassette), cassette)
+        wrapped = CountingTransport(ReplayTransport(cassette))
+        pooled = self.ctx_for(wrapped, cassette)
+        for r in resources:
+            uri = normalize_uri(r.uri)
+            assert gather_evidence(uri, pooled) == gather_evidence(uri, inline)
+        assert wrapped.threads - {threading.get_ident()}, "no request left the caller's thread"

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carbondate.core import (
@@ -13,6 +13,8 @@ from carbondate.core import (
     render_http_date,
 )
 from carbondate.timemaps import (
+    _TOP_LEVEL_ENTRIES,
+    _TOP_LEVEL_PARAMS,
     FetchFailed,
     MalformedTimemap,
     Memento,
@@ -44,6 +46,49 @@ def make_timemap(times, host="web.archive.org"):
         for i, t in enumerate(times)
     )
     return Timemap(original=ORIGINAL, mementos=mementos)
+
+
+def split_top_level_loop(text, sep):
+    """Reference splitter: split on sep outside double quotes."""
+    out, buf, quoted = [], [], False
+    for ch in text:
+        if ch == '"':
+            quoted = not quoted
+            buf.append(ch)
+        elif ch == sep and not quoted:
+            out.append("".join(buf))
+            buf = []
+        else:
+            buf.append(ch)
+    out.append("".join(buf))
+    return out
+
+
+class TestTopLevelSplit:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        text=st.one_of(
+            st.text(alphabet=',;"<>= ax\n', max_size=40), st.text(max_size=40)
+        ),
+        sep=st.sampled_from([",", ";"]),
+    )
+    @example(text='a,"b,c', sep=",")
+    @example(text='<u>;rel="x;y";datetime="d"', sep=";")
+    def test_regex_equals_character_loop(self, text, sep):
+        splitter = {",": _TOP_LEVEL_ENTRIES, ";": _TOP_LEVEL_PARAMS}[sep]
+        expected = [piece for piece in split_top_level_loop(text, sep) if piece]
+        assert splitter.findall(text) == expected
+
+    def test_quoted_separators_kept(self):
+        body = '<http://a.example/>;rel="memento";datetime="%s";title="a, b; c"' % (
+            render_http_date(parse_iso_timestamp("2010-01-01T00:00:00"))
+        )
+        body += ",\n" + entry("http://b.example/", "2011-01-01T00:00:00")
+        tm = parse_timemap(body, ORIGINAL)
+        assert [m.capture_uri for m in tm.mementos] == [
+            "http://a.example/",
+            "http://b.example/",
+        ]
 
 
 class TestParseTimemap:
