@@ -149,10 +149,11 @@ class Cassette:
             raise ValueError(f"empty cassette file: {path}")
         try:
             header = json.loads(lines[0])
-            if header.get("version") != CASSETTE_VERSION:
+            version = header.get("version")
+            if version != CASSETTE_VERSION:
                 raise ValueError(
-                    f"unsupported cassette version {header.get('version')!r} in"
-                    f" {path}; expected {CASSETTE_VERSION}"
+                    f"unsupported cassette version {version!r} in {path};"
+                    f" expected {CASSETTE_VERSION}"
                 )
             cassette = cls(
                 recorded_at=parse_iso_timestamp(header["recorded_at"]),
