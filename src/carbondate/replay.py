@@ -8,12 +8,16 @@ never participate in the key.
 
 from __future__ import annotations
 
+import gc
 import json
+import os
 import re
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Iterator, Optional
 from urllib.parse import parse_qsl, urlencode, urlsplit, urlunsplit
+
+import orjson
 
 from .core import parse_iso_timestamp, render_iso_timestamp
 
@@ -75,6 +79,27 @@ class Interaction:
 # A URL urlsplit/urlunsplit would return unchanged: lowercase scheme and a
 # non-empty lowercase host, a path, and no query or fragment.
 _CANONICAL_URL = re.compile(r"https?://[a-z0-9.-]+(?::[0-9]*)?/[^?#\s]*")
+# The same, then key=value pairs that parse_qsl/urlencode would write back
+# unchanged: keys of unreserved characters; values of unreserved characters,
+# "+", and uppercase %XX escapes of the ASCII bytes that are neither
+# unreserved nor space, which urlencode escapes again the same way.
+_QUERY_PAIR = (
+    r"[A-Za-z0-9._~-]+=(?:[A-Za-z0-9._~+-]"
+    r"|%(?:[01][0-9A-F]|2[1-9A-CF]|3[A-F]|[46]0|5[B-E]|7[B-DF]))*"
+)
+_CANONICAL_QUERY_URL = re.compile(
+    rf"({_CANONICAL_URL.pattern})\?({_QUERY_PAIR}(?:&{_QUERY_PAIR})*)"
+)
+
+
+def _sorted_query(query: str) -> Optional[str]:
+    """The query with its pairs sorted by key, or None if a key repeats
+    (urllib would then order those pairs by their decoded values)."""
+    pairs = sorted(pair.split("=", 1) for pair in query.split("&"))
+    for before, after in zip(pairs, pairs[1:]):
+        if before[0] == after[0]:
+            return None
+    return "&".join([f"{key}={value}" for key, value in pairs])
 
 
 def match_key(method: str, url: str) -> tuple[str, str]:
@@ -82,6 +107,11 @@ def match_key(method: str, url: str) -> tuple[str, str]:
     and sorted query parameters."""
     if _CANONICAL_URL.fullmatch(url):
         return method.upper(), url
+    m = _CANONICAL_QUERY_URL.fullmatch(url)
+    if m:
+        query = _sorted_query(m[2])
+        if query is not None:
+            return method.upper(), f"{m[1]}?{query}"
     parts = urlsplit(url)
     query = urlencode(sorted(parse_qsl(parts.query, keep_blank_values=True)))
     normalized = urlunsplit(
@@ -131,41 +161,96 @@ class Cassette:
             raise UnmatchedInteraction(f"{key[0]} {key[1]}") from None
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            header = {
-                "version": CASSETTE_VERSION,
-                "recorded_at": render_iso_timestamp(self.recorded_at),
-                "volatile_headers": list(self.volatile_headers),
-            }
-            f.write(json.dumps(header) + "\n")
-            for interaction in self.entries.values():
-                f.write(json.dumps(interaction.to_json()) + "\n")
+        """Write the cassette through a temporary file in the same
+        directory, so a failed write leaves any earlier file whole."""
+        tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as f:
+                header = {
+                    "version": CASSETTE_VERSION,
+                    "recorded_at": render_iso_timestamp(self.recorded_at),
+                    "volatile_headers": list(self.volatile_headers),
+                }
+                f.write(json.dumps(header) + "\n")
+                for interaction in self.entries.values():
+                    f.write(json.dumps(interaction.to_json()) + "\n")
+                f.flush()
+                os.fsync(f.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
 
     @classmethod
     def load(cls, path: str) -> "Cassette":
-        with open(path, "r", encoding="utf-8") as f:
-            lines = [line for line in f if line.strip()]
-        if not lines:
-            raise ValueError(f"empty cassette file: {path}")
+        # Nothing built here can form a cycle, so the collector would only
+        # rescan the growing entry table.
+        gc_enabled = gc.isenabled()
+        gc.disable()
         try:
-            header = json.loads(lines[0])
-            version = header.get("version")
-            if version != CASSETTE_VERSION:
-                raise ValueError(
-                    f"unsupported cassette version {version!r} in {path};"
-                    f" expected {CASSETTE_VERSION}"
+            with open(path, "rb") as f:
+                objects = _json_lines(f)
+                header = next(objects, None)
+                if header is None:
+                    raise ValueError(f"empty cassette file: {path}")
+                version = header.get("version")
+                if version != CASSETTE_VERSION:
+                    raise ValueError(
+                        f"unsupported cassette version {version!r} in {path};"
+                        f" expected {CASSETTE_VERSION}"
+                    )
+                cassette = cls(
+                    recorded_at=parse_iso_timestamp(header["recorded_at"]),
+                    volatile_headers=tuple(
+                        h.lower() for h in header.get("volatile_headers", [])
+                    ),
                 )
-            cassette = cls(
-                recorded_at=parse_iso_timestamp(header["recorded_at"]),
-                volatile_headers=tuple(
-                    h.lower() for h in header.get("volatile_headers", [])
-                ),
-            )
-            for line in lines[1:]:
-                cassette.add(Interaction.from_json(json.loads(line)))
-        except (AttributeError, KeyError, TypeError) as exc:
+                for obj in objects:
+                    cassette.add(Interaction.from_json(obj))
+        except (AttributeError, KeyError, TypeError, OverflowError,
+                RecursionError) as exc:
             raise ValueError(f"malformed cassette {path}: {exc!r}") from exc
+        finally:
+            if gc_enabled:
+                gc.enable()
         return cassette
+
+
+def _json_lines(f) -> Iterator:
+    """Decode each non-blank line of a binary file as json.loads would
+    read the file's text, whose lines also end at a lone carriage return.
+
+    orjson is used where it gives the same value: it refuses NaN, lone
+    surrogate escapes and invalid UTF-8, and reads integers beyond 64 bits
+    as floats, so only an entry whose headers and body are all strings is
+    taken from it. Everything else is decoded again by json.
+    """
+    for raw in f:
+        for line in raw.splitlines():
+            if not line.strip():
+                continue
+            try:
+                obj = orjson.loads(line)
+            except orjson.JSONDecodeError:
+                pass
+            else:
+                if _all_strings(obj):
+                    yield obj
+                    continue
+            text = line.decode("utf-8")
+            if text.strip():
+                yield json.loads(text)
+
+
+def _all_strings(obj) -> bool:
+    """True for an entry whose response headers and body are all strings."""
+    try:
+        response = obj["response"]
+        "".join(response.get("headers", {}).values())
+    except (AttributeError, KeyError, TypeError):
+        return False
+    return type(response.get("body", "")) is str
 
 
 class ReplayTransport:

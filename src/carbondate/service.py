@@ -136,9 +136,16 @@ def _respond(start_response, status: int, body: dict):
 
 
 def serve(config: ServiceConfig, ctx: Optional[SourceContext] = None) -> None:
-    """Run the API on config.listen until interrupted."""
+    """Run the API on config.listen until interrupted. In record mode the
+    captured cassette is saved however serving ends."""
     from wsgiref.simple_server import make_server
 
+    if ctx is None:
+        ctx = build_context(config)
     host, _, port = config.listen.partition(":")
     server = make_server(host or "127.0.0.1", int(port or 8000), make_app(config, ctx))
-    server.serve_forever()
+    try:
+        server.serve_forever()
+    finally:
+        if config.mode == "record":
+            ctx.transport.sink.save(config.cassette_path)

@@ -59,9 +59,10 @@ class Timemap:
 
 
 # The non-empty pieces between separators outside double quotes, since
-# quoted values may contain them (RFC 6690 section 2). An unbalanced quote
+# quoted values may contain them (RFC 6690 section 2). Entries also keep
+# the commas of a <URI-Reference> whole. An unbalanced quote or bracket
 # runs to the end of the text.
-_TOP_LEVEL_ENTRIES = re.compile(r'(?:[^,"]+|"[^"]*"?)+')
+_TOP_LEVEL_ENTRIES = re.compile(r'(?:[^,"<]+|"[^"]*"?|<[^>]*>?)+')
 _TOP_LEVEL_PARAMS = re.compile(r'(?:[^;"]+|"[^"]*"?)+')
 
 

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from urllib.parse import parse_qsl, urlencode, urlsplit, urlunsplit
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from carbondate.core import parse_iso_timestamp
@@ -19,6 +24,7 @@ from carbondate.replay import (
 )
 
 NOW = parse_iso_timestamp("2013-03-01T00:00:00")
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def interaction(method="HEAD", url="http://example.com/", status=200, headers=None,
@@ -64,7 +70,16 @@ URL_PIECES = st.builds(
         max_size=10,
     ),
 )
-URLS = st.one_of(CANONICAL_URLS, URL_PIECES, st.text(max_size=30))
+# Query strings near the shape match_key sorts itself: short keys that can
+# repeat or prefix each other, "+", and escapes in either case, of
+# unreserved, reserved, space and non-ASCII bytes.
+_VALUE = r"(?:[a0+~-]|%[0-9A-Fa-f]{2}|%(?:20|21|2B|3a|41|7B|7E|C3)){0,3}"
+QUERY_URLS = st.from_regex(
+    r"https?://[a-z0-9.-]+(?::[0-9]*)?/[^?#\s]*"
+    rf"\?[ab~-]{{1,2}}={_VALUE}(?:&[ab~+-]{{0,2}}=?{_VALUE}){{0,3}}",
+    fullmatch=True,
+)
+URLS = st.one_of(CANONICAL_URLS, QUERY_URLS, URL_PIECES, st.text(max_size=30))
 
 
 class TestMatchKey:
@@ -72,6 +87,15 @@ class TestMatchKey:
     @given(url=URLS, method=st.sampled_from(["GET", "get", "Head"]))
     @example(url="http:////", method="GET")
     @example(url="http://e.com/a b", method="GET")
+    @example(url="http://e.com/?a=1&a-=2", method="GET")
+    @example(url="http://e.com/?a-=1&a=2", method="GET")
+    @example(url="http://e.com/?b=%41&a=1", method="GET")
+    @example(url="http://e.com/?a=%3a", method="GET")
+    @example(url="http://e.com/?a=1&a=0", method="GET")
+    @example(url="http://e.com/?a", method="GET")
+    @example(url="http://e.com/?a=%7B&a=b", method="GET")
+    @example(url="http://e.com/?a=%7E", method="GET")
+    @example(url="http://e.com/?a=%20", method="GET")
     def test_fast_path_equals_urllib_path(self, url, method):
         assert match_key(method, url) == urllib_key(method, url)
 
@@ -83,6 +107,12 @@ class TestMatchKey:
     def test_query_order_insensitive(self):
         assert match_key("GET", "http://e.com/?b=2&a=1") == match_key(
             "GET", "http://e.com/?a=1&b=2"
+        )
+
+    def test_query_key_sorted_without_urllib(self, monkeypatch):
+        monkeypatch.setattr("carbondate.replay.urlsplit", None)
+        assert match_key("GET", "http://e.com/s?uri=http%3A%2F%2Fa.b%2F&limit=500") == (
+            "GET", "http://e.com/s?limit=500&uri=http%3A%2F%2Fa.b%2F"
         )
 
     def test_path_significant(self):
@@ -226,3 +256,174 @@ class TestCassetteFile:
         self.write_cassette(path, header)
         with pytest.raises(ValueError):
             Cassette.load(str(path))
+
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        first = Cassette(recorded_at=NOW)
+        first.add(interaction(body="first"))
+        first.save(str(path))
+        before = path.read_bytes()
+        second = Cassette(recorded_at=NOW)
+        second.add(interaction(body="second"))
+        # json.dumps fails on this body after the header and the first
+        # entry are written.
+        second.add(interaction(url="http://b.example/", body=object()))
+        with pytest.raises(TypeError):
+            second.save(str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["c.jsonl"]
+
+    def test_fixture_script_rebuilds_fixture(self, tmp_path):
+        out = tmp_path / "mementoweb.jsonl"
+        subprocess.run(
+            [sys.executable, str(REPO_ROOT / "scripts" / "make_mementoweb_cassette.py"),
+             str(out)],
+            check=True,
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        )
+        made = Cassette.load(str(out))
+        fixture = Cassette.load(str(REPO_ROOT / "fixtures" / "mementoweb.jsonl"))
+        assert made.recorded_at == fixture.recorded_at
+        assert made.entries == fixture.entries
+
+
+def reference_load(path):
+    """Cassette.load as it read files with the stdlib json module alone."""
+    with open(path, "r", encoding="utf-8") as f:
+        lines = [line for line in f if line.strip()]
+    header = json.loads(lines[0])
+    if header.get("version") != 1:
+        raise ValueError("version")
+    cassette = Cassette(
+        recorded_at=parse_iso_timestamp(header["recorded_at"]),
+        volatile_headers=tuple(h.lower() for h in header.get("volatile_headers", [])),
+    )
+    for line in lines[1:]:
+        cassette.add(Interaction.from_json(json.loads(line)))
+    return cassette
+
+
+def loaded_state(cassette):
+    # repr, not ==, so that a NaN read twice compares equal.
+    return cassette.recorded_at, cassette.volatile_headers, repr(list(cassette.entries.items()))
+
+
+ANY_JSON = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+        st.sampled_from([2**64, -(2**63) - 1, 10**30, "\ud800", "x\udfff", "é"]),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=2), st.dictionaries(st.text(max_size=3), inner, max_size=2)
+    ),
+    max_leaves=4,
+)
+
+
+def mostly(strategy):
+    """strategy seven times in eight, any JSON value otherwise."""
+    return st.sampled_from([strategy] * 7 + [ANY_JSON]).flatmap(lambda chosen: chosen)
+
+
+HEADER_OBJECTS = mostly(st.fixed_dictionaries(
+    {"version": mostly(st.just(1)), "recorded_at": mostly(st.just("2013-03-01T00:00:00"))},
+    optional={"volatile_headers": mostly(st.lists(st.sampled_from(["Date", "x-a"])))},
+))
+ENTRY_OBJECTS = mostly(st.fixed_dictionaries({
+    "request": mostly(st.fixed_dictionaries({
+        "method": mostly(st.sampled_from(["GET", "head"])),
+        "url": mostly(st.sampled_from(
+            ["http://e.com/", "http://E.com/?b=1&a=2", "http://e.com/?a=1&b=2"]
+        )),
+    })),
+    "response": mostly(st.fixed_dictionaries(
+        {"status": mostly(st.sampled_from([200, 404, 301, "200", 200.5, 99, 700, float("inf")]))},
+        optional={
+            "headers": mostly(st.dictionaries(
+                st.sampled_from(["Date", "ETag", "X-A", "x-a"]), mostly(st.text(max_size=3)),
+                max_size=3,
+            )),
+            "body": mostly(st.text(max_size=5)),
+        },
+    )),
+}))
+
+
+@st.composite
+def json_lines(draw, objects):
+    """One line: JSON text of an object, possibly with a duplicate key,
+    truncated, holding a byte that is not UTF-8, or blank."""
+    text = json.dumps(draw(objects), ensure_ascii=draw(st.sampled_from([True] * 3 + [False])))
+    how = draw(st.sampled_from(
+        ["as is"] * 12 + ["duplicate key", "truncated", "bad byte", "blank"]
+    ))
+    if how == "duplicate key" and text.startswith("{") and len(text) > 2:
+        extra = '"response": ' + json.dumps(draw(ANY_JSON))
+        text = draw(st.sampled_from(
+            ["{" + extra + ", " + text[1:], text[:-1] + ", " + extra + "}"]
+        ))
+    line = text.encode("utf-8", "surrogatepass")
+    if how == "truncated":
+        line = line[: draw(st.integers(0, len(line)))]
+    elif how == "bad byte":
+        at = draw(st.integers(0, len(line)))
+        bad = draw(st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"]))
+        line = line[:at] + bad + line[at:]
+    elif how == "blank":
+        line = draw(st.sampled_from([b"", b" \t", "\u3000".encode(), b"\x1c", b"\xc2\x85"]))
+    return line
+
+
+@st.composite
+def cassette_files(draw):
+    lines = [draw(json_lines(HEADER_OBJECTS))]
+    lines += draw(st.lists(json_lines(ENTRY_OBJECTS), max_size=5))
+    return b"".join(line + draw(st.sampled_from([b"\n", b"\r\n", b"\r"])) for line in lines)
+
+
+class TestCassetteLoadRobustness:
+    @settings(
+        max_examples=400, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(data=cassette_files(), collecting=st.booleans())
+    @example(
+        data=b'{"version": 1, "recorded_at": "2013-03-01T00:00:00"}\r'
+        + "\u3000\r\n".encode() + json.dumps(interaction().to_json()).encode() + b"\n",
+        collecting=True,
+    )
+    def test_loads_like_json_or_raises_value_error(self, tmp_path, data, collecting):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(data)
+        try:
+            expected = loaded_state(reference_load(str(path)))
+        except Exception:
+            expected = None
+        was_enabled = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            try:
+                got = loaded_state(Cassette.load(str(path)))
+            except ValueError:
+                got = None
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert got == expected
+
+    @pytest.mark.parametrize("field, value", [
+        ("body", float("nan")),
+        ("body", "\ud800"),
+        ("body", 2**64 + 1),
+        ("body", -(2**63) - 1),
+        ("body", [10**30]),
+        ("headers", {"X-Big": 10**30}),
+    ])
+    def test_values_orjson_refuses_or_misreads(self, tmp_path, field, value):
+        path = tmp_path / "c.jsonl"
+        header = {"version": 1, "recorded_at": "2013-03-01T00:00:00"}
+        entry = interaction().to_json()
+        entry["response"][field] = value
+        path.write_text(json.dumps(header) + "\n" + json.dumps(entry) + "\n")
+        assert loaded_state(Cassette.load(str(path))) == loaded_state(reference_load(str(path)))

@@ -1,14 +1,15 @@
 from __future__ import annotations
 
 import json
+import wsgiref.simple_server
 
 import pytest
 
 import carbondate.cli as cli
 from carbondate.cli import eval_main, main
 from carbondate.core import parse_iso_timestamp
-from carbondate.replay import Cassette
-from carbondate.service import ServiceConfig, make_app
+from carbondate.replay import Cassette, ReplayTransport
+from carbondate.service import ServiceConfig, build_context, make_app, serve
 from carbondate.synth import generate_world
 
 
@@ -103,6 +104,40 @@ class TestEndpoint:
         _, _, body = call(app, "/cd/http://www.mementoweb.org")
         report = json.loads(body)
         assert report["winning_method"] == "archives"
+
+
+class TestServeRecord:
+    @pytest.mark.parametrize("stop", [None, KeyboardInterrupt])
+    def test_capture_saved_when_serving_ends(
+        self, tmp_path, monkeypatch, mementoweb_cassette_path, stop
+    ):
+        path = tmp_path / "recorded.jsonl"
+        config = ServiceConfig(mode="record", cassette_path=str(path))
+        ctx = build_context(config)
+        # The fixture stands in for the live web.
+        ctx.transport.inner = ReplayTransport(Cassette.load(mementoweb_cassette_path))
+
+        class StubServer:
+            def __init__(self, app):
+                self.app = app
+
+            def serve_forever(self):
+                status, _, _ = call(self.app, "/cd/http://www.mementoweb.org")
+                assert status == 200
+                if stop is not None:
+                    raise stop
+
+        monkeypatch.setattr(
+            wsgiref.simple_server, "make_server", lambda host, port, app: StubServer(app)
+        )
+        if stop is None:
+            serve(config, ctx)
+        else:
+            with pytest.raises(stop):
+                serve(config, ctx)
+        recorded = ctx.transport.sink.entries
+        assert len(recorded) > 5
+        assert Cassette.load(str(path)).entries == recorded
 
 
 class TestBatchCli:

@@ -49,17 +49,22 @@ def make_timemap(times, host="web.archive.org"):
 
 
 def split_top_level_loop(text, sep):
-    """Reference splitter: split on sep outside double quotes."""
-    out, buf, quoted = [], [], False
+    """Reference splitter: split on sep outside double quotes and, for
+    entries (","), outside <...>."""
+    out, buf, closer = [], [], None
     for ch in text:
-        if ch == '"':
-            quoted = not quoted
-            buf.append(ch)
-        elif ch == sep and not quoted:
+        if closer is not None:
+            if ch == closer:
+                closer = None
+        elif ch == '"':
+            closer = '"'
+        elif ch == "<" and sep == ",":
+            closer = ">"
+        elif ch == sep:
             out.append("".join(buf))
             buf = []
-        else:
-            buf.append(ch)
+            continue
+        buf.append(ch)
     out.append("".join(buf))
     return out
 
@@ -74,6 +79,8 @@ class TestTopLevelSplit:
     )
     @example(text='a,"b,c', sep=",")
     @example(text='<u>;rel="x;y";datetime="d"', sep=";")
+    @example(text='<a,b>;x=",<",<c', sep=",")
+    @example(text='<a;b>;x=1', sep=";")
     def test_regex_equals_character_loop(self, text, sep):
         splitter = {",": _TOP_LEVEL_ENTRIES, ";": _TOP_LEVEL_PARAMS}[sep]
         expected = [piece for piece in split_top_level_loop(text, sep) if piece]
@@ -87,6 +94,19 @@ class TestTopLevelSplit:
         tm = parse_timemap(body, ORIGINAL)
         assert [m.capture_uri for m in tm.mementos] == [
             "http://a.example/",
+            "http://b.example/",
+        ]
+
+
+    def test_comma_in_capture_uri_kept(self):
+        body = ",\n".join([
+            '<http://example.com/>;rel="original"',
+            entry("http://a.example/x,y", "2010-01-01T00:00:00"),
+            entry("http://b.example/", "2011-01-01T00:00:00"),
+        ])
+        tm = parse_timemap(body, ORIGINAL)
+        assert [m.capture_uri for m in tm.mementos] == [
+            "http://a.example/x,y",
             "http://b.example/",
         ]
 
