@@ -62,9 +62,10 @@ class Interaction:
     @classmethod
     def from_json(cls, obj: dict) -> "Interaction":
         req, resp = obj["request"], obj["response"]
-        status = int(resp["status"])
-        if not 100 <= status <= 599:
-            raise ValueError(f"status code out of range: {status}")
+        status = resp["status"]
+        # Exactly an int: "200" or 200.9 is a malformed line, not a 200.
+        if type(status) is not int or not 100 <= status <= 599:
+            raise ValueError(f"status code is not an integer in 100-599: {status!r}")
         return cls(
             method=req["method"].upper(),
             url=req["url"],

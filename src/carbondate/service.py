@@ -1,7 +1,8 @@
 """The web API: GET /cd/{uri} returns the JSON estimate document.
 
 Implemented as a plain WSGI application so it can be served by any WSGI
-server (the CLI uses wsgiref) and invoked directly in tests.
+server (the CLI uses wsgiref with a thread per request) and invoked
+directly in tests.
 """
 
 from __future__ import annotations
@@ -136,16 +137,32 @@ def _respond(start_response, status: int, body: dict):
 
 
 def serve(config: ServiceConfig, ctx: Optional[SourceContext] = None) -> None:
-    """Run the API on config.listen until interrupted. In record mode the
-    captured cassette is saved however serving ends."""
-    from wsgiref.simple_server import make_server
+    """Run the API on config.listen until interrupted, a thread per request
+    so /healthz answers while an estimate waits on a slow upstream. In
+    record mode the captured cassette is saved however serving ends, after
+    every request in flight has finished recording."""
+    # Imported here: wsgiref loads http.server and ssl, which batch and
+    # evaluation runs never need.
+    from socketserver import ThreadingMixIn
+    from wsgiref.simple_server import WSGIServer, make_server
+
+    class ThreadingWSGIServer(ThreadingMixIn, WSGIServer):
+        daemon_threads = False  # server_close joins only non-daemon threads
 
     if ctx is None:
         ctx = build_context(config)
     host, _, port = config.listen.partition(":")
-    server = make_server(host or "127.0.0.1", int(port or 8000), make_app(config, ctx))
+    server = make_server(
+        host or "127.0.0.1",
+        int(port or 8000),
+        make_app(config, ctx),
+        server_class=ThreadingWSGIServer,
+    )
     try:
         server.serve_forever()
     finally:
-        if config.mode == "record":
-            ctx.transport.sink.save(config.cassette_path)
+        try:
+            server.server_close()
+        finally:
+            if config.mode == "record":
+                ctx.transport.sink.save(config.cassette_path)

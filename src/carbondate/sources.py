@@ -8,6 +8,8 @@ one broken upstream never suppresses the others.
 from __future__ import annotations
 
 import json
+import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -55,6 +57,11 @@ SEARCH_WINDOW_YEARS = 15
 FLAG_CLIPPED_WINDOW = "clipped_window"
 FLAG_PARTIAL_FETCH = "partial_fetch"
 
+# Workers of one context's executor: stdlib's own ceiling for a default
+# ThreadPoolExecutor. Threads start only when no idle one is free.
+POOL_WORKERS = 32
+_POOL_LOCK = threading.Lock()
+
 
 @dataclass(frozen=True)
 class Endpoints:
@@ -96,7 +103,24 @@ class SourceContext:
     transport: object
     window: PlausibilityWindow
     endpoints: Endpoints = field(default_factory=Endpoints)
-    parallelism: int = 6  # only for transports that block; others run inline
+    # Most probes of one URI in flight at once through a transport that
+    # blocks; one that declares ``blocking = False`` runs them inline.
+    parallelism: int = 6
+    _pool: Optional[ThreadPoolExecutor] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def pool(self) -> ThreadPoolExecutor:
+        """The executor every URI of this context fans out on, started on
+        first use. A copy made by dataclasses.replace starts its own; the
+        workers exit once the context is garbage-collected."""
+        if self._pool is None:
+            with _POOL_LOCK:
+                if self._pool is None:
+                    self._pool = ThreadPoolExecutor(
+                        max_workers=POOL_WORKERS, thread_name_prefix="carbondate-probe"
+                    )
+        return self._pool
 
 
 @dataclass(frozen=True)
@@ -126,11 +150,21 @@ def _error(method: str, message: str, **kw) -> EvidenceResult:
     return EvidenceResult(method=method, status="error", error=message, **kw)
 
 
+def _malformed(method: str, what: str, value: object, **kw) -> EvidenceResult:
+    """error for a value of the wrong JSON type in an upstream answer."""
+    return _error(
+        method, f"malformed document: {what} is a {type(value).__name__}", **kw
+    )
+
+
 def _dated(
-    method: str, raw: str, parse: Callable[[str], int], ctx: SourceContext, **kw
+    method: str, raw: object, parse: Callable[[str], int], ctx: SourceContext, **kw
 ) -> EvidenceResult:
     """ok with parse(raw) when it parses and is plausible; otherwise empty,
-    keeping raw in detail under "unparsable" or "implausible"."""
+    keeping raw in detail under "unparsable" or "implausible". A raw value
+    that is not a string is a malformed document."""
+    if not isinstance(raw, str):
+        return _malformed(method, "date", raw, **kw)
     try:
         t = parse(raw)
     except ValueError:
@@ -152,8 +186,13 @@ def _fetch(ctx: SourceContext, url: str) -> str:
     return resp.body
 
 
-def _get_json(ctx: SourceContext, url: str):
-    return json.loads(_fetch(ctx, url))
+def _get_json(ctx: SourceContext, url: str) -> dict:
+    """The JSON object a GET returns; raises as _fetch does, or ValueError
+    for a body that is not a JSON object."""
+    doc = json.loads(_fetch(ctx, url))
+    if not isinstance(doc, dict):
+        raise ValueError(f"malformed document: body is a {type(doc).__name__}")
+    return doc
 
 
 def probe_last_modified(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
@@ -203,6 +242,8 @@ def query_shortener(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
     short_id = lookup.get("id")
     if not short_id:
         return _empty(method)
+    if not isinstance(short_id, str):
+        return _malformed(method, "id", short_id)
     try:
         info = _get_json(ctx, ctx.endpoints.shortener_info_url(short_id))
     except Exception as exc:
@@ -226,11 +267,16 @@ def query_social(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
     except Exception as exc:
         return _error(method, str(exc))
     posts = data.get("posts", [])
+    if not isinstance(posts, list):
+        return _malformed(method, "posts", posts)
     timestamps = []
     for post in posts:
+        posted_at = post.get("posted_at") if isinstance(post, dict) else None
+        if not isinstance(posted_at, str):
+            continue
         try:
-            t = parse_iso_timestamp(post["posted_at"])
-        except (KeyError, ValueError):
+            t = parse_iso_timestamp(posted_at)
+        except ValueError:
             continue
         t = filter_plausible(t, ctx.window)
         if t is not None:
@@ -284,10 +330,14 @@ def query_backlinks(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
     backlinks = data.get("backlinks", [])
     if not backlinks:
         return _empty(method)
+    if not isinstance(backlinks, list):
+        return _malformed(method, "backlinks", backlinks)
 
     first_seen: list[int] = []
     flags: set[str] = set()
     for raw in backlinks:
+        if not isinstance(raw, str):
+            continue
         try:
             backlink = normalize_uri(raw)
         except ValueError:
@@ -332,11 +382,13 @@ def gather_evidence(
 ) -> list[EvidenceResult]:
     """Run every enabled source, failures isolated, one result per method.
 
-    Sources fan out concurrently up to ctx.parallelism, unless the
-    transport declares ``blocking = False`` (it answers from memory, so
-    threads would only add overhead) and they run one after another on the
-    caller's thread. Results come back in method-name order so concurrency
-    never changes the output.
+    Through a transport that blocks, sources run in up to ctx.parallelism
+    lanes: the caller's thread is one, the others run on ctx.pool(), and
+    each lane takes the next method not yet started. A transport that
+    declares ``blocking = False`` answers from memory, so threads would
+    only add overhead; its sources run one after another on the caller's
+    thread. Results come back in method-name order so concurrency never
+    changes the output.
     """
     methods = sorted(enabled if enabled is not None else ALL_METHODS)
     if not methods:
@@ -351,8 +403,29 @@ def gather_evidence(
         except Exception as exc:  # probes should not raise; belt and braces
             return _error(method, f"internal: {exc}")
 
-    inline = not getattr(ctx.transport, "blocking", True)
-    if inline or ctx.parallelism <= 1 or len(methods) == 1:
+    lanes = min(ctx.parallelism, len(methods))
+    if not getattr(ctx.transport, "blocking", True) or lanes <= 1:
         return [run(m) for m in methods]
-    with ThreadPoolExecutor(max_workers=min(ctx.parallelism, len(methods))) as pool:
-        return list(pool.map(run, methods))
+
+    todo: queue.SimpleQueue[int] = queue.SimpleQueue()
+    for i in range(len(methods)):
+        todo.put(i)
+    results: list[Optional[EvidenceResult]] = [None] * len(methods)
+
+    def lane() -> None:
+        while True:
+            try:
+                i = todo.get_nowait()
+            except queue.Empty:
+                return
+            results[i] = run(methods[i])
+
+    pool = ctx.pool()
+    helpers = [pool.submit(lane) for _ in range(lanes - 1)]
+    lane()
+    # The queue is empty now: a helper that has not started would find
+    # nothing to do, so only running ones are waited for.
+    for helper in helpers:
+        if not helper.cancel():
+            helper.result()
+    return results

@@ -17,7 +17,6 @@ from urllib.parse import urljoin, urlsplit
 
 from .core import (
     CanonicalUri,
-    MalformedUri,
     PlausibilityWindow,
     UnparsableDate,
     filter_plausible,
@@ -189,14 +188,14 @@ def contains_link(
         return False
     for href in collector.hrefs:
         candidate = strip_archive_rewrite(href.strip())
-        if "://" not in candidate:
-            if base_uri is None:
-                continue
-            candidate = strip_archive_rewrite(urljoin(base_uri, candidate))
         try:
+            if "://" not in candidate:
+                if base_uri is None:
+                    continue
+                candidate = strip_archive_rewrite(urljoin(base_uri, candidate))
             if normalize_uri(candidate) == target:
                 return True
-        except MalformedUri:
+        except ValueError:  # MalformedUri, or an href urljoin cannot split
             continue
     return False
 

@@ -226,6 +226,18 @@ class TestCassetteFile:
                 }
             )
 
+    @pytest.mark.parametrize("status", ["200", " 404 ", 200.9, 200.0, True, None, 99, 600])
+    def test_status_must_be_an_int_in_range(self, tmp_path, status):
+        entry = interaction().to_json()
+        entry["response"]["status"] = status
+        with pytest.raises(ValueError, match="status"):
+            Interaction.from_json(entry)
+        path = tmp_path / "c.jsonl"
+        header = {"version": 1, "recorded_at": "2013-03-01T00:00:00"}
+        path.write_text(json.dumps(header) + "\n" + json.dumps(entry) + "\n")
+        with pytest.raises(ValueError, match="status"):
+            Cassette.load(str(path))
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import http.client
 import json
+import socketserver
+import threading
+import time
 import wsgiref.simple_server
 
 import pytest
@@ -117,9 +121,12 @@ class TestServeRecord:
         # The fixture stands in for the live web.
         ctx.transport.inner = ReplayTransport(Cassette.load(mementoweb_cassette_path))
 
+        events = []
+
         class StubServer:
-            def __init__(self, app):
+            def __init__(self, app, server_class):
                 self.app = app
+                self.server_class = server_class
 
             def serve_forever(self):
                 status, _, _ = call(self.app, "/cd/http://www.mementoweb.org")
@@ -127,17 +134,106 @@ class TestServeRecord:
                 if stop is not None:
                     raise stop
 
-        monkeypatch.setattr(
-            wsgiref.simple_server, "make_server", lambda host, port, app: StubServer(app)
-        )
+            def server_close(self):
+                events.append(("close", path.exists()))
+
+        servers = []
+
+        def make_server(host, port, app, server_class):
+            servers.append(StubServer(app, server_class))
+            return servers[-1]
+
+        monkeypatch.setattr(wsgiref.simple_server, "make_server", make_server)
         if stop is None:
             serve(config, ctx)
         else:
             with pytest.raises(stop):
                 serve(config, ctx)
+        # Closed (joining request threads) before the cassette is written.
+        assert events == [("close", False)]
+        assert issubclass(servers[0].server_class, socketserver.ThreadingMixIn)
+        assert not servers[0].server_class.daemon_threads
         recorded = ctx.transport.sink.entries
         assert len(recorded) > 5
         assert Cassette.load(str(path)).entries == recorded
+
+
+class BlockingTransport:
+    """Holds every request until released; declares nothing about blocking."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def request(self, method, url):
+        self.entered.set()
+        assert self.release.wait(timeout=30)
+        return self.inner.request(method, url)
+
+
+def http_get(port, path):
+    """GET over loopback with no proxy involved: (status, decoded JSON)."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        conn.request("GET", path)
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+    finally:
+        conn.close()
+
+
+class TestThreadedServer:
+    def test_healthz_answers_while_an_estimate_waits(
+        self, monkeypatch, mementoweb_cassette_path
+    ):
+        config = ServiceConfig(
+            mode="replay", cassette_path=mementoweb_cassette_path, listen="127.0.0.1:0"
+        )
+        ctx = build_context(config)
+        blocking = BlockingTransport(ctx.transport)
+        ctx.transport = blocking
+        servers = []
+        real_make_server = wsgiref.simple_server.make_server
+
+        def make_server(*args, **kwargs):
+            servers.append(real_make_server(*args, **kwargs))
+            return servers[-1]
+
+        monkeypatch.setattr(wsgiref.simple_server, "make_server", make_server)
+        monkeypatch.setattr(
+            wsgiref.simple_server.WSGIRequestHandler, "log_message", lambda *a: None
+        )
+        serving = threading.Thread(target=serve, args=(config, ctx))
+        serving.start()
+        estimate = {}
+        try:
+            deadline = time.monotonic() + 10
+            while not servers and time.monotonic() < deadline:
+                time.sleep(0.01)
+            port = servers[0].server_port
+
+            def get_estimate():
+                estimate["status"], estimate["body"] = http_get(
+                    port, "/cd/http://www.mementoweb.org"
+                )
+
+            client = threading.Thread(target=get_estimate)
+            client.start()
+            assert blocking.entered.wait(timeout=10)
+            assert http_get(port, "/healthz") == (200, {"status": "ok"})
+            assert client.is_alive()  # the estimate is still waiting
+            blocking.release.set()
+            client.join(timeout=30)
+            assert not client.is_alive()
+        finally:
+            blocking.release.set()
+            if servers:
+                servers[0].shutdown()
+            serving.join(timeout=30)
+        assert not serving.is_alive()
+        assert estimate["status"] == 200
+        assert estimate["body"]["Estimated Creation Date"] == "2009-09-30T11:58:25"
 
 
 class TestBatchCli:

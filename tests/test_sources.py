@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
+import gc
 import json
+import sys
 import threading
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import carbondate.sources as sources
 
@@ -311,6 +317,45 @@ class TestBacklinks:
         ctx = make_ctx([])
         assert query_backlinks(URI, ctx).status == "error"
 
+    def test_backlink_that_is_not_a_string_skipped(self):
+        ctx = make_ctx([("GET", EP.backlinks_url(str(URI)), jresp({"backlinks": [7]}))])
+        r = query_backlinks(URI, ctx)
+        assert r.status == "empty"
+        assert r.error is None
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("probe, url, body", [
+        (query_social, EP.social_search_url(str(URI)), []),
+        (query_social, EP.social_search_url(str(URI)), {"posts": {"id": "p0"}}),
+        (query_shortener, EP.shortener_lookup_url(str(URI)), [1]),
+        (query_shortener, EP.shortener_lookup_url(str(URI)), {"id": 5}),
+        (query_search_index, EP.crawl_url(str(URI)), {"crawl_date": 5}),
+        (query_search_index, EP.crawl_url(str(URI)), "2009-11-16"),
+        (query_backlinks, EP.backlinks_url(str(URI)), {"backlinks": "http://bl.example.net/"}),
+    ])
+    def test_wrong_json_type_is_error(self, probe, url, body):
+        r = probe(URI, make_ctx([("GET", url, jresp(body))]))
+        assert r.status == "error"
+        assert "malformed document" in r.error
+
+    def test_created_at_that_is_not_a_string_is_error(self):
+        ctx = make_ctx([
+            ("GET", EP.shortener_lookup_url(str(URI)), jresp({"id": "abc"})),
+            ("GET", EP.shortener_info_url("abc"), jresp({"created_at": [2011]})),
+        ])
+        r = query_shortener(URI, ctx)
+        assert r.status == "error"
+        assert r.error == "malformed document: date is a list"
+        assert r.detail == {"id": "abc"}
+
+    def test_bad_posts_skipped(self):
+        posts = [5, ["x"], {"posted_at": 5}, {"posted_at": "2010-05-01T00:00:00"}]
+        ctx = make_ctx([("GET", EP.social_search_url(str(URI)), jresp({"posts": posts}))])
+        r = query_social(URI, ctx)
+        assert r.status == "ok"
+        assert r.estimate == parse_iso_timestamp("2010-05-01T00:00:00")
+
 
 class TestGatherEvidence:
     def test_one_entry_per_enabled_method(self):
@@ -356,18 +401,44 @@ class CountingTransport:
         return self.inner.request(method, url)
 
 
+class InFlightTransport:
+    """Declares nothing about blocking; holds each request briefly and
+    notes the most requests it ever had in flight at once."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.lock = threading.Lock()
+        self.in_flight = 0
+        self.peak = 0
+
+    def request(self, method, url):
+        with self.lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            time.sleep(0.0005)
+            return self.inner.request(method, url)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
 class TestConcurrencyPaths:
     @pytest.fixture(scope="class")
     def world(self):
         return generate_world(seed=7, n=60)
 
     @staticmethod
-    def ctx_for(transport, cassette):
+    def ctx_for(transport, cassette, parallelism=6):
         return SourceContext(
             transport=transport,
             window=PlausibilityWindow(now=cassette.recorded_at),
-            parallelism=6,
+            parallelism=parallelism,
         )
+
+    @staticmethod
+    def uris(world, n=None):
+        return [normalize_uri(r.uri) for r in world[0].resources[:n]]
 
     def test_replay_starts_no_thread(self, world, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -390,3 +461,157 @@ class TestConcurrencyPaths:
             uri = normalize_uri(r.uri)
             assert gather_evidence(uri, pooled) == gather_evidence(uri, inline)
         assert wrapped.threads - {threading.get_ident()}, "no request left the caller's thread"
+
+    def test_one_executor_for_every_uri(self, world, monkeypatch):
+        made = []
+
+        class CountingExecutor(sources.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(sources, "ThreadPoolExecutor", CountingExecutor)
+        cassette = world[1]
+        ctx = self.ctx_for(CountingTransport(ReplayTransport(cassette)), cassette)
+        for uri in self.uris(world, 50):
+            gather_evidence(uri, ctx)
+        assert len(made) == 1
+
+    @pytest.mark.parametrize("parallelism", [2, 3, 6])
+    def test_parallelism_caps_requests_in_flight(self, world, parallelism):
+        # One caller, one URI at a time: every request in flight is that URI's.
+        cassette = world[1]
+        inline = self.ctx_for(ReplayTransport(cassette), cassette)
+        transport = InFlightTransport(ReplayTransport(cassette))
+        pooled = self.ctx_for(transport, cassette, parallelism)
+        for uri in self.uris(world, 20):
+            assert gather_evidence(uri, pooled) == gather_evidence(uri, inline)
+        assert 1 < transport.peak <= parallelism
+
+    def test_callers_sharing_a_context_get_serial_evidence(self, world):
+        cassette = world[1]
+        serial = self.ctx_for(ReplayTransport(cassette), cassette)
+        uris = self.uris(world)
+        expected = [gather_evidence(uri, serial) for uri in uris]
+        shared = self.ctx_for(CountingTransport(ReplayTransport(cassette)), cassette)
+        got = [None] * 4
+
+        def caller(k):
+            got[k] = [gather_evidence(uri, shared) for uri in uris]
+
+        callers = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert got == [expected] * 4
+
+    def test_workers_exit_when_context_is_collected(self, world):
+        cassette = world[1]
+        before = set(threading.enumerate())
+        ctx = self.ctx_for(CountingTransport(ReplayTransport(cassette)), cassette)
+        for uri in self.uris(world, 5):
+            gather_evidence(uri, ctx)
+        workers = [t for t in threading.enumerate() if t not in before]
+        assert workers
+        del ctx
+        gc.collect()
+        for t in workers:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in workers)
+
+    def test_copy_gets_its_own_executor(self, world):
+        cassette = world[1]
+        ctx = self.ctx_for(CountingTransport(ReplayTransport(cassette)), cassette)
+        copy = dataclasses.replace(ctx)
+        assert copy.pool() is not ctx.pool()
+        assert copy == ctx
+
+
+# Upstream answers for the robustness property: well-formed, wrongly typed
+# and garbage documents, and any status.
+DATES = ["2009-11-16", "2010-05-01T00:00:00", "2030-01-01T00:00:00Z", "1990-01-01",
+         "Wed, 27 Feb 2013 17:27:20 GMT", "Mon, 01 Jan 1990 00:00:00 GMT"]
+LINKS = [str(URI), "http://bl.example.net/", "//[x", "not a uri"]
+FIELDS = ["id", "created_at", "posts", "posted_at", "total", "crawl_date", "backlinks"]
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+        st.text(max_size=8), st.sampled_from(DATES + LINKS),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.sampled_from(FIELDS), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+TIMEMAP = ",\n".join([
+    f'<{URI}>;rel="original"',
+    '<http://arch.example.org/1/x>;rel="memento";datetime="Wed, 30 Sep 2009 11:58:25 GMT"',
+    '<http://arch.example.org/2/x>;rel="memento";datetime="Fri, 02 Apr 2010 00:00:00 GMT"',
+])
+PAGE = f'<a href="//[x">x</a><a href="{URI}">t</a>'
+RESPONSES = st.one_of(
+    st.none(),  # the transport raises
+    st.builds(
+        HttpResponse,
+        status=st.one_of(st.sampled_from([200, 200, 200, 404, 500]), st.integers(100, 599)),
+        headers=st.dictionaries(
+            st.sampled_from(["Last-Modified", "X-A"]),
+            st.one_of(st.text(max_size=30), st.sampled_from(DATES)),
+        ),
+        body=st.one_of(
+            st.text(max_size=30), JSON_VALUES.map(json.dumps), st.sampled_from([TIMEMAP, PAGE])
+        ),
+    ),
+)
+# URL prefixes in the order they are tried; "" takes every capture page.
+ROUTES = (
+    EP.timemap_base, EP.shortener_lookup_url(""), EP.shortener_info_url(""),
+    EP.social_base, EP.index_base + "/crawl", EP.index_base + "/backlinks", "",
+)
+
+
+class ScriptedTransport:
+    """Answers from memory with the response scripted for the request's route."""
+
+    blocking = False
+
+    def __init__(self):
+        self.answers = {}
+
+    def request(self, method, url):
+        route = "HEAD" if method == "HEAD" else next(r for r in ROUTES if url.startswith(r))
+        response = self.answers[route]
+        if response is None:
+            raise ConnectionError(f"scripted failure for {url}")
+        return response
+
+
+class TestArbitraryUpstream:
+    @pytest.fixture(scope="class")
+    def contexts(self):
+        inline = SourceContext(
+            transport=ScriptedTransport(), window=PlausibilityWindow(now=NOW), parallelism=6
+        )
+        pooled = SourceContext(
+            transport=CountingTransport(inline.transport), window=inline.window, parallelism=6
+        )
+        return inline, pooled
+
+    @settings(max_examples=300, deadline=None)
+    @given(answers=st.fixed_dictionaries({r: RESPONSES for r in ("HEAD",) + ROUTES}))
+    def test_probes_never_raise_and_stay_in_the_window(self, contexts, answers):
+        inline, pooled = contexts
+        inline.transport.answers = answers
+        evidence = gather_evidence(URI, inline)
+        assert gather_evidence(URI, pooled) == evidence
+        for e in evidence:
+            assert not (e.error or "").startswith("internal:"), e.error
+            if e.status == "ok":
+                assert inline.window.contains(e.estimate)

@@ -255,6 +255,12 @@ class TestContainsLink:
     def test_broken_html_skipped(self):
         assert not contains_link("<a href=<<<>>>", self.target)
 
+    def test_href_urljoin_cannot_split_skipped(self):
+        body = '<a href="//[x">bad</a><a href="/">root</a>'
+        assert contains_link(
+            body, normalize_uri("http://example.com/"), base_uri="http://example.com/"
+        )
+
 
 class TestFirstLinkingMemento:
     target = normalize_uri("http://target.example.com/")
