@@ -19,6 +19,12 @@ from .core import MalformedUri, PlausibilityWindow, normalize_uri
 from .replay import Cassette, LiveTransport, RecordingTransport, ReplayTransport
 from .sources import ALL_METHODS, Endpoints, SourceContext, gather_evidence
 
+# `serve` handles at most this many requests at once.
+MAX_REQUESTS = 32
+# A connection that sends nothing for the upstream timeout plus this many
+# seconds is dropped.
+IDLE_MARGIN_S = 1.0
+
 
 @dataclass
 class ServiceConfig:
@@ -144,10 +150,39 @@ def serve(config: ServiceConfig, ctx: Optional[SourceContext] = None) -> None:
     # Imported here: wsgiref loads http.server and ssl, which batch and
     # evaluation runs never need.
     from socketserver import ThreadingMixIn
-    from wsgiref.simple_server import WSGIServer, make_server
+    from threading import BoundedSemaphore
+    from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
 
     class ThreadingWSGIServer(ThreadingMixIn, WSGIServer):
         daemon_threads = False  # server_close joins only non-daemon threads
+        # At the cap the accept loop waits; later connections queue in the
+        # listen backlog until a request thread ends.
+        slots = BoundedSemaphore(MAX_REQUESTS)
+
+        def process_request(self, request, client_address):
+            self.slots.acquire()
+            try:
+                super().process_request(request, client_address)
+            except BaseException:
+                self.slots.release()
+                raise
+
+        def process_request_thread(self, request, client_address):
+            try:
+                super().process_request_thread(request, client_address)
+            finally:
+                self.slots.release()
+
+    class RequestHandler(WSGIRequestHandler):
+        # A socket timeout ends a connection that sends nothing, so closing
+        # the server, which joins every request thread, never hangs on one.
+        timeout = config.timeout_ms / 1000.0 + IDLE_MARGIN_S
+
+        def handle(self):
+            try:
+                super().handle()
+            except TimeoutError:
+                pass  # the server closes the connection
 
     if ctx is None:
         ctx = build_context(config)
@@ -157,6 +192,7 @@ def serve(config: ServiceConfig, ctx: Optional[SourceContext] = None) -> None:
         int(port or 8000),
         make_app(config, ctx),
         server_class=ThreadingWSGIServer,
+        handler_class=RequestHandler,
     )
     try:
         server.serve_forever()

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
+import socket
 import socketserver
 import threading
 import time
@@ -10,6 +12,7 @@ import wsgiref.simple_server
 import pytest
 
 import carbondate.cli as cli
+import carbondate.service as service
 from carbondate.cli import eval_main, main
 from carbondate.core import parse_iso_timestamp
 from carbondate.replay import Cassette, ReplayTransport
@@ -124,9 +127,10 @@ class TestServeRecord:
         events = []
 
         class StubServer:
-            def __init__(self, app, server_class):
+            def __init__(self, app, server_class, handler_class):
                 self.app = app
                 self.server_class = server_class
+                self.handler_class = handler_class
 
             def serve_forever(self):
                 status, _, _ = call(self.app, "/cd/http://www.mementoweb.org")
@@ -139,8 +143,8 @@ class TestServeRecord:
 
         servers = []
 
-        def make_server(host, port, app, server_class):
-            servers.append(StubServer(app, server_class))
+        def make_server(host, port, app, server_class, handler_class):
+            servers.append(StubServer(app, server_class, handler_class))
             return servers[-1]
 
         monkeypatch.setattr(wsgiref.simple_server, "make_server", make_server)
@@ -153,6 +157,7 @@ class TestServeRecord:
         assert events == [("close", False)]
         assert issubclass(servers[0].server_class, socketserver.ThreadingMixIn)
         assert not servers[0].server_class.daemon_threads
+        assert servers[0].handler_class.timeout == 10.0 + service.IDLE_MARGIN_S
         recorded = ctx.transport.sink.entries
         assert len(recorded) > 5
         assert Cassette.load(str(path)).entries == recorded
@@ -183,35 +188,52 @@ def http_get(port, path):
         conn.close()
 
 
+@contextlib.contextmanager
+def serving(monkeypatch, config, ctx):
+    """Run serve(config, ctx) on a thread; yield (server, thread). On exit
+    shut the server down and join the thread."""
+    servers = []
+    real_make_server = wsgiref.simple_server.make_server
+
+    def make_server(*args, **kwargs):
+        servers.append(real_make_server(*args, **kwargs))
+        return servers[-1]
+
+    monkeypatch.setattr(wsgiref.simple_server, "make_server", make_server)
+    monkeypatch.setattr(
+        wsgiref.simple_server.WSGIRequestHandler, "log_message", lambda *a: None
+    )
+    thread = threading.Thread(target=serve, args=(config, ctx))
+    thread.start()
+    try:
+        deadline = time.monotonic() + 10
+        while not servers and time.monotonic() < deadline:
+            time.sleep(0.01)
+        yield servers[0], thread
+    finally:
+        if servers:
+            servers[0].shutdown()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+
+
 class TestThreadedServer:
+    def blocking_config(self, cassette_path):
+        config = ServiceConfig(
+            mode="replay", cassette_path=cassette_path, listen="127.0.0.1:0"
+        )
+        ctx = build_context(config)
+        ctx.transport = BlockingTransport(ctx.transport)
+        return config, ctx
+
     def test_healthz_answers_while_an_estimate_waits(
         self, monkeypatch, mementoweb_cassette_path
     ):
-        config = ServiceConfig(
-            mode="replay", cassette_path=mementoweb_cassette_path, listen="127.0.0.1:0"
-        )
-        ctx = build_context(config)
-        blocking = BlockingTransport(ctx.transport)
-        ctx.transport = blocking
-        servers = []
-        real_make_server = wsgiref.simple_server.make_server
-
-        def make_server(*args, **kwargs):
-            servers.append(real_make_server(*args, **kwargs))
-            return servers[-1]
-
-        monkeypatch.setattr(wsgiref.simple_server, "make_server", make_server)
-        monkeypatch.setattr(
-            wsgiref.simple_server.WSGIRequestHandler, "log_message", lambda *a: None
-        )
-        serving = threading.Thread(target=serve, args=(config, ctx))
-        serving.start()
+        config, ctx = self.blocking_config(mementoweb_cassette_path)
+        blocking = ctx.transport
         estimate = {}
-        try:
-            deadline = time.monotonic() + 10
-            while not servers and time.monotonic() < deadline:
-                time.sleep(0.01)
-            port = servers[0].server_port
+        with serving(monkeypatch, config, ctx) as (server, _):
+            port = server.server_port
 
             def get_estimate():
                 estimate["status"], estimate["body"] = http_get(
@@ -220,20 +242,69 @@ class TestThreadedServer:
 
             client = threading.Thread(target=get_estimate)
             client.start()
-            assert blocking.entered.wait(timeout=10)
-            assert http_get(port, "/healthz") == (200, {"status": "ok"})
-            assert client.is_alive()  # the estimate is still waiting
-            blocking.release.set()
-            client.join(timeout=30)
-            assert not client.is_alive()
-        finally:
-            blocking.release.set()
-            if servers:
-                servers[0].shutdown()
-            serving.join(timeout=30)
-        assert not serving.is_alive()
+            try:
+                assert blocking.entered.wait(timeout=10)
+                assert http_get(port, "/healthz") == (200, {"status": "ok"})
+                assert client.is_alive()  # the estimate is still waiting
+            finally:
+                blocking.release.set()
+                client.join(timeout=30)
         assert estimate["status"] == 200
         assert estimate["body"]["Estimated Creation Date"] == "2009-09-30T11:58:25"
+
+    def test_requests_past_the_cap_wait(self, monkeypatch, mementoweb_cassette_path):
+        monkeypatch.setattr(service, "MAX_REQUESTS", 1)
+        config, ctx = self.blocking_config(mementoweb_cassette_path)
+        blocking = ctx.transport
+        answers = {}
+        with serving(monkeypatch, config, ctx) as (server, _):
+            port = server.server_port
+
+            def get(path):
+                answers[path] = http_get(port, path)
+
+            client = threading.Thread(target=get, args=("/cd/http://www.mementoweb.org",))
+            health = threading.Thread(target=get, args=("/healthz",))
+            client.start()
+            try:
+                assert blocking.entered.wait(timeout=10)
+                health.start()
+                health.join(timeout=0.5)
+                assert health.is_alive()  # queued behind the one request slot
+            finally:
+                blocking.release.set()
+                client.join(timeout=30)
+                if health.ident is not None:
+                    health.join(timeout=30)
+        assert answers["/healthz"] == (200, {"status": "ok"})
+        assert answers["/cd/http://www.mementoweb.org"][0] == 200
+
+    def test_idle_connection_does_not_hold_up_the_save(
+        self, tmp_path, monkeypatch, mementoweb_cassette_path
+    ):
+        path = tmp_path / "recorded.jsonl"
+        config = ServiceConfig(
+            mode="record", cassette_path=str(path), listen="127.0.0.1:0", timeout_ms=200
+        )
+        ctx = build_context(config)
+        ctx.transport.inner = ReplayTransport(Cassette.load(mementoweb_cassette_path))
+        with serving(monkeypatch, config, ctx) as (server, thread):
+            port = server.server_port
+            idle = socket.create_connection(("127.0.0.1", port), timeout=30)
+            try:
+                # Connections are accepted in order, so by the time this
+                # answers, the idle one has a request thread reading from it.
+                status, _ = http_get(port, "/cd/http://www.mementoweb.org")
+                assert status == 200
+                server.shutdown()
+                thread.join(timeout=10)
+                assert not thread.is_alive()  # serve returned
+                assert idle.recv(1) == b""  # the server dropped the connection
+            finally:
+                idle.close()
+        recorded = ctx.transport.sink.entries
+        assert len(recorded) > 5
+        assert Cassette.load(str(path)).entries == recorded
 
 
 class TestBatchCli:
