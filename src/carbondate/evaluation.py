@@ -116,18 +116,10 @@ def method_delta(real: date, est: Optional[int]) -> Optional[int]:
     return abs((real - truncate_to_day(est)).days)
 
 
-def best_delta(
-    method_deltas: dict[str, Optional[int]],
-) -> tuple[Optional[int], Optional[str]]:
-    """Minimum present delta and the method achieving it (fixed tie order)."""
-    return pick_least(method_deltas)
-
-
-def build_record(
-    uri: str, real: date, estimates: dict[str, Optional[int]]
-) -> EvalRecord:
-    deltas = {m: method_delta(real, est) for m, est in estimates.items()}
-    least, winner = best_delta(deltas)
+def _record(uri: str, real: date, deltas: dict[str, Optional[int]]) -> EvalRecord:
+    """The record of these deltas: the least present one wins, ties broken
+    in aggregate's fixed method order."""
+    least, winner = pick_least(deltas)
     return EvalRecord(
         uri=uri,
         real_date=real,
@@ -137,7 +129,15 @@ def build_record(
     )
 
 
-def auc(deltas: Sequence[float], spacing: float = AUC_SPACING) -> float:
+def build_record(
+    uri: str, real: date, estimates: dict[str, Optional[int]]
+) -> EvalRecord:
+    return _record(
+        uri, real, {m: method_delta(real, est) for m, est in estimates.items()}
+    )
+
+
+def auc(deltas: Sequence[float]) -> float:
     """Average of trapezoid and Simpson integrals of the sorted-delta curve."""
     if len(deltas) == 0:
         raise EmptyInput("no deltas to integrate")
@@ -146,7 +146,7 @@ def auc(deltas: Sequence[float], spacing: float = AUC_SPACING) -> float:
         ys = np.array([ys[0], ys[0]])
     xs = np.linspace(0.0, 1.0, len(ys))
     # Even interval count so composite Simpson applies directly.
-    intervals = max(2, int(round(1.0 / spacing)))
+    intervals = max(2, int(round(1.0 / AUC_SPACING)))
     if intervals % 2:
         intervals += 1
     grid = np.linspace(xs[0], xs[-1], intervals + 1)
@@ -261,19 +261,14 @@ def ablate(records: Sequence[EvalRecord], disabled: str) -> dict:
     if disabled not in ALL_METHODS:
         raise UnknownMethod(disabled)
     full = summarize(records)
-    reduced = []
-    for r in records:
-        deltas = {m: d for m, d in r.method_deltas.items() if m != disabled}
-        least, winner = best_delta(deltas)
-        reduced.append(
-            EvalRecord(
-                uri=r.uri,
-                real_date=r.real_date,
-                method_deltas=deltas,
-                best_delta=least,
-                winning_method=winner,
-            )
+    reduced = [
+        _record(
+            r.uri,
+            r.real_date,
+            {m: d for m, d in r.method_deltas.items() if m != disabled},
         )
+        for r in records
+    ]
     partial = summarize(reduced)
     percent: Optional[float] = None
     if full.auc_full:

@@ -61,19 +61,23 @@ class Interaction:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Interaction":
+        """The interaction a cassette line holds; ValueError unless its
+        types are the ones HttpResponse promises."""
         req, resp = obj["request"], obj["response"]
         status = resp["status"]
         # Exactly an int: "200" or 200.9 is a malformed line, not a 200.
         if type(status) is not int or not 100 <= status <= 599:
             raise ValueError(f"status code is not an integer in 100-599: {status!r}")
+        method, url = req["method"], req["url"]
+        headers = dict(resp.get("headers", {}))
+        body = resp.get("body", "")
+        for value in (method, url, body, *headers.values()):
+            if type(value) is not str:
+                raise ValueError(f"not a string: {value!r}")
         return cls(
-            method=req["method"].upper(),
-            url=req["url"],
-            response=HttpResponse(
-                status=status,
-                headers=dict(resp.get("headers", {})),
-                body=resp.get("body", ""),
-            ),
+            method=method.upper(),
+            url=url,
+            response=HttpResponse(status=status, headers=headers, body=body),
         )
 
 
@@ -133,11 +137,11 @@ class Cassette:
     volatile_headers: tuple[str, ...] = DEFAULT_VOLATILE_HEADERS
     entries: dict[tuple[str, str], Interaction] = field(default_factory=dict)
 
-    def add(self, interaction: Interaction) -> bool:
-        """Insert unless the key is already present; returns True if added."""
+    def add(self, interaction: Interaction) -> None:
+        """Insert unless the key is already present."""
         key = match_key(interaction.method, interaction.url)
         if key in self.entries:
-            return False
+            return
         response = interaction.response
         if any(k.lower() in self.volatile_headers for k in response.headers):
             clean = {
@@ -147,7 +151,6 @@ class Cassette:
             }
             interaction = replace(interaction, response=replace(response, headers=clean))
         self.entries[key] = interaction
-        return True
 
     def lookup(self, method: str, url: str) -> Interaction:
         # A request for exactly the recorded URL needs no normalizing. The
@@ -222,10 +225,10 @@ def _json_lines(f) -> Iterator:
     """Decode each non-blank line of a binary file as json.loads would
     read the file's text, whose lines also end at a lone carriage return.
 
-    orjson is used where it gives the same value: it refuses NaN, lone
-    surrogate escapes and invalid UTF-8, and reads integers beyond 64 bits
-    as floats, so only an entry whose headers and body are all strings is
-    taken from it. Everything else is decoded again by json.
+    Lines orjson refuses (NaN, lone surrogate escapes, invalid UTF-8,
+    1e400) are decoded again by json. orjson reads integers beyond 64 bits
+    as floats where json keeps ints; no such number is a valid version,
+    status, header value or body, so the load rejects either reading.
     """
     for raw in f:
         for line in raw.splitlines():
@@ -234,24 +237,11 @@ def _json_lines(f) -> Iterator:
             try:
                 obj = orjson.loads(line)
             except orjson.JSONDecodeError:
-                pass
-            else:
-                if _all_strings(obj):
-                    yield obj
+                text = line.decode("utf-8")
+                if not text.strip():
                     continue
-            text = line.decode("utf-8")
-            if text.strip():
-                yield json.loads(text)
-
-
-def _all_strings(obj) -> bool:
-    """True for an entry whose response headers and body are all strings."""
-    try:
-        response = obj["response"]
-        "".join(response.get("headers", {}).values())
-    except (AttributeError, KeyError, TypeError):
-        return False
-    return type(response.get("body", "")) is str
+                obj = json.loads(text)
+            yield obj
 
 
 class ReplayTransport:
@@ -284,9 +274,10 @@ class RecordingTransport:
 
     def request(self, method: str, url: str) -> HttpResponse:
         with self._lock:
-            key = match_key(method, url)
-            if key in self.sink.entries:
-                return self.sink.entries[key].response
+            try:
+                return self.sink.lookup(method, url).response
+            except UnmatchedInteraction:
+                pass
         response = self.inner.request(method, url)
         with self._lock:
             self.sink.add(Interaction(method=method.upper(), url=url, response=response))

@@ -12,7 +12,6 @@ import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional
 from urllib.parse import quote
 
@@ -26,12 +25,8 @@ from .core import (
     parse_iso_day,
     parse_iso_timestamp,
 )
-from .timemaps import (
-    FetchFailed,
-    earliest_memento,
-    first_linking_memento,
-    parse_timemap,
-)
+from .replay import HttpResponse
+from .timemaps import FetchFailed, first_linking_memento, parse_timemap
 
 METHOD_LAST_MODIFIED = "last_modified"
 METHOD_ARCHIVES = "archives"
@@ -175,21 +170,22 @@ def _dated(
     return _ok(method, t, **kw)
 
 
-def _fetch(ctx: SourceContext, url: str) -> str:
-    """Body of a GET; a transport failure or a non-200 raises FetchFailed."""
+def _fetch(ctx: SourceContext, method: str, url: str) -> HttpResponse:
+    """The 200 response to a request; a transport failure or any other
+    status raises FetchFailed."""
     try:
-        resp = ctx.transport.request("GET", url)
+        resp = ctx.transport.request(method, url)
     except Exception as exc:
         raise FetchFailed(str(exc)) from exc
     if resp.status != 200:
         raise FetchFailed(f"HTTP {resp.status} for {url}", status=resp.status)
-    return resp.body
+    return resp
 
 
 def _get_json(ctx: SourceContext, url: str) -> dict:
     """The JSON object a GET returns; raises as _fetch does, or ValueError
     for a body that is not a JSON object."""
-    doc = json.loads(_fetch(ctx, url))
+    doc = json.loads(_fetch(ctx, "GET", url).body)
     if not isinstance(doc, dict):
         raise ValueError(f"malformed document: body is a {type(doc).__name__}")
     return doc
@@ -199,8 +195,10 @@ def probe_last_modified(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult
     """Headers-only request; one vote, never authoritative."""
     method = METHOD_LAST_MODIFIED
     try:
-        resp = ctx.transport.request("HEAD", str(uri))
-    except Exception as exc:
+        resp = _fetch(ctx, "HEAD", str(uri))
+    except FetchFailed as exc:
+        if exc.status == 404:
+            return _empty(method)
         return _error(method, str(exc))
     value = resp.header("Last-Modified")
     if value is None:
@@ -212,14 +210,12 @@ def query_archives(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
     """Earliest capture across all public archives, with a per-archive map."""
     method = METHOD_ARCHIVES
     try:
-        tm = parse_timemap(_fetch(ctx, ctx.endpoints.timemap_url(str(uri))), uri)
+        resp = _fetch(ctx, "GET", ctx.endpoints.timemap_url(str(uri)))
+        tm = parse_timemap(resp.body, uri)
     except Exception as exc:
         if isinstance(exc, FetchFailed) and exc.status == 404:
             return _empty(method)
         return _error(method, str(exc))
-    overall = earliest_memento(tm, ctx.window)
-    if overall is None:
-        return _empty(method)
     by_archive: dict[str, int] = {}
     for m in tm.mementos:
         t = filter_plausible(m.candidate(), ctx.window)
@@ -227,7 +223,9 @@ def query_archives(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
             continue
         if m.archive_host not in by_archive or t < by_archive[m.archive_host]:
             by_archive[m.archive_host] = t
-    return _ok(method, overall.candidate(), detail={"by_archive": by_archive})
+    if not by_archive:
+        return _empty(method)
+    return _ok(method, min(by_archive.values()), detail={"by_archive": by_archive})
 
 
 def query_shortener(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
@@ -343,13 +341,14 @@ def query_backlinks(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
         except ValueError:
             continue
         try:
-            tm = parse_timemap(
-                _fetch(ctx, ctx.endpoints.timemap_url(str(backlink))), backlink
-            )
+            resp = _fetch(ctx, "GET", ctx.endpoints.timemap_url(str(backlink)))
+            tm = parse_timemap(resp.body, backlink)
         except Exception:
             flags.add(FLAG_PARTIAL_FETCH)
             continue
-        result = first_linking_memento(tm, uri, partial(_fetch, ctx))
+        result = first_linking_memento(
+            tm, uri, lambda url: _fetch(ctx, "GET", url).body
+        )
         if result.degraded:
             flags.add(FLAG_PARTIAL_FETCH)
         t = filter_plausible(result.found_at, ctx.window)

@@ -169,8 +169,6 @@ def generate_world(
     seed: int,
     n: int,
     models: Optional[dict[str, SourceLagModel]] = None,
-    now: Optional[int] = None,
-    endpoints: Optional[Endpoints] = None,
 ) -> tuple[SyntheticWorld, Cassette]:
     """Deterministically build n resources and the cassette describing them."""
     if n < 1:
@@ -182,8 +180,8 @@ def generate_world(
     for m in ALL_METHODS:
         if m not in models:
             models[m] = SourceLagModel(1.0, 0, 0)  # absent everywhere
-    endpoints = endpoints or Endpoints()
-    now = now if now is not None else parse_iso_timestamp("2013-03-01T00:00:00")
+    endpoints = Endpoints()
+    now = parse_iso_timestamp("2013-03-01T00:00:00")
     window = PlausibilityWindow(now=now)
 
     max_lag = max(model.max_lag_s for model in models.values())

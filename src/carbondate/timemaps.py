@@ -1,10 +1,9 @@
 """Timemap parsing and the first-linking-capture binary search.
 
 A timemap is an application/link-format document listing every archived
-capture (memento) of a resource. Besides extracting the earliest capture,
-this module searches a backlink page's capture history for the first
-version that links to a target URI, assuming link presence is monotone
-over time.
+capture (memento) of a resource. Besides parsing timemaps, this module
+searches a backlink page's capture history for the first version that
+links to a target URI, assuming link presence is monotone over time.
 """
 
 from __future__ import annotations
@@ -17,9 +16,7 @@ from urllib.parse import urljoin, urlsplit
 
 from .core import (
     CanonicalUri,
-    PlausibilityWindow,
     UnparsableDate,
-    filter_plausible,
     normalize_uri,
     parse_http_date,
 )
@@ -134,20 +131,6 @@ def parse_timemap(body: str, original: CanonicalUri) -> Timemap:
     return Timemap(original=original, mementos=tuple(mementos))
 
 
-def earliest_memento(tm: Timemap, window: PlausibilityWindow) -> Optional[Memento]:
-    """The memento with the smallest plausible candidate timestamp.
-
-    A memento's candidate is min(memento_datetime, original last-modified
-    when present). Ties break on archive host for deterministic replay.
-    """
-    surviving = [
-        m for m in tm.mementos if filter_plausible(m.candidate(), window) is not None
-    ]
-    if not surviving:
-        return None
-    return min(surviving, key=lambda m: (m.candidate(), m.archive_host))
-
-
 class _AnchorCollector(HTMLParser):
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
@@ -226,31 +209,23 @@ def first_linking_memento(
     if n == 0:
         return LinkSearchResult(found_at=None, fetches=0, degraded=False)
 
-    cache: dict[int, bool] = {}
-    state = {"fetches": 0, "degraded": False}
-
-    def present(i: int) -> bool:
-        if i not in cache:
-            state["fetches"] += 1
-            try:
-                body = fetch(tm.mementos[i].capture_uri)
-                cache[i] = contains_link(
-                    body, target, base_uri=str(tm.original)
-                )
-            except FetchFailed:
-                state["degraded"] = True
-                cache[i] = False
-        return cache[i]
-
-    # Search for the first index with the link; lo == n means "none".
+    # Search for the first index with the link; lo == n means "none". Each
+    # step drops mid from [lo, hi), so no capture is fetched twice.
+    fetches = 0
+    degraded = False
     lo, hi = 0, n
     while lo < hi:
         mid = (lo + hi) // 2
-        if present(mid):
+        fetches += 1
+        try:
+            body = fetch(tm.mementos[mid].capture_uri)
+            linked = contains_link(body, target, base_uri=str(tm.original))
+        except FetchFailed:
+            degraded = True
+            linked = False
+        if linked:
             hi = mid
         else:
             lo = mid + 1
     found = tm.mementos[lo].memento_datetime if lo < n else None
-    return LinkSearchResult(
-        found_at=found, fetches=state["fetches"], degraded=state["degraded"]
-    )
+    return LinkSearchResult(found_at=found, fetches=fetches, degraded=degraded)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carbondate.aggregate import pick_least
 from carbondate.core import PlausibilityWindow, parse_iso_timestamp
 from carbondate.evaluation import (
     DegenerateInput,
@@ -16,7 +17,6 @@ from carbondate.evaluation import (
     UnknownMethod,
     ablate,
     auc,
-    best_delta,
     build_record,
     load_gold,
     method_delta,
@@ -108,11 +108,11 @@ class TestMethodDelta:
 
 class TestBestDelta:
     def test_min(self):
-        least, winner = best_delta({"archives": 5, "social": 0})
+        least, winner = pick_least({"archives": 5, "social": 0})
         assert least == 0 and winner == "social"
 
     def test_all_absent(self):
-        assert best_delta({"archives": None, "social": None}) == (None, None)
+        assert pick_least({"archives": None, "social": None}) == (None, None)
 
     def test_fuzzed_matches_bruteforce(self):
         rng = random.Random(4)
@@ -123,7 +123,7 @@ class TestBestDelta:
                 m: (rng.randrange(0, 1000) if rng.random() < 0.6 else None)
                 for m in methods
             }
-            least, winner = best_delta(deltas)
+            least, winner = pick_least(deltas)
             present = [d for d in deltas.values() if d is not None]
             if present:
                 assert least == min(present)
@@ -275,7 +275,7 @@ class TestSummarizeAndAblate:
             reduced_best = []
             for r in records:
                 deltas = {m: v for m, v in r.method_deltas.items() if m != disabled}
-                least, _ = best_delta(deltas)
+                least, _ = pick_least(deltas)
                 if r.best_delta is not None and least is not None:
                     assert least >= r.best_delta
             assert result["estimated_count"] <= summarize(records).estimated_count

@@ -238,6 +238,23 @@ class TestCassetteFile:
         with pytest.raises(ValueError, match="status"):
             Cassette.load(str(path))
 
+    @pytest.mark.parametrize("part, key, value", [
+        ("response", "body", [1, 2]),
+        ("response", "headers", {"Last-Modified": 5}),
+        ("request", "url", 5),
+        ("request", "method", ["GET"]),
+    ])
+    def test_values_must_be_strings(self, tmp_path, part, key, value):
+        entry = interaction().to_json()
+        entry[part][key] = value
+        with pytest.raises(ValueError, match="string"):
+            Interaction.from_json(entry)
+        path = tmp_path / "c.jsonl"
+        header = {"version": 1, "recorded_at": "2013-03-01T00:00:00"}
+        path.write_text(json.dumps(header) + "\n" + json.dumps(entry) + "\n")
+        with pytest.raises(ValueError, match="string"):
+            Cassette.load(str(path))
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
@@ -319,6 +336,14 @@ def reference_load(path):
 def loaded_state(cassette):
     # repr, not ==, so that a NaN read twice compares equal.
     return cassette.recorded_at, cassette.volatile_headers, repr(list(cassette.entries.items()))
+
+
+def load_outcome(load, path):
+    """The loaded state, or ValueError for a file load rejects."""
+    try:
+        return loaded_state(load(path))
+    except ValueError:
+        return ValueError
 
 
 ANY_JSON = st.recursive(
@@ -438,4 +463,8 @@ class TestCassetteLoadRobustness:
         entry = interaction().to_json()
         entry["response"][field] = value
         path.write_text(json.dumps(header) + "\n" + json.dumps(entry) + "\n")
-        assert loaded_state(Cassette.load(str(path))) == loaded_state(reference_load(str(path)))
+        got = load_outcome(Cassette.load, str(path))
+        assert got == load_outcome(reference_load, str(path))
+        # Only the lone surrogate is a string; any other body or header
+        # value makes the line malformed, however orjson reads it.
+        assert (got is ValueError) == (value != "\ud800")

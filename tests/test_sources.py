@@ -14,13 +14,20 @@ from hypothesis import strategies as st
 import carbondate.sources as sources
 
 from carbondate.core import (
+    EARLIEST_PLAUSIBLE,
     PlausibilityWindow,
     normalize_uri,
     parse_iso_timestamp,
     render_http_date,
     render_iso_timestamp,
 )
-from carbondate.replay import Cassette, HttpResponse, Interaction, ReplayTransport
+from carbondate.replay import (
+    Cassette,
+    HttpResponse,
+    Interaction,
+    ReplayTransport,
+    UnmatchedInteraction,
+)
 from carbondate.sources import (
     ALL_METHODS,
     FLAG_CLIPPED_WINDOW,
@@ -56,11 +63,11 @@ def jresp(obj, status=200):
     return HttpResponse(status=status, headers={}, body=json.dumps(obj))
 
 
-def head_resp(last_modified=None):
+def head_resp(last_modified=None, status=200):
     headers = {"Content-Type": "text/html"}
     if last_modified is not None:
         headers["Last-Modified"] = last_modified
-    return HttpResponse(status=200, headers=headers, body="")
+    return HttpResponse(status=status, headers=headers, body="")
 
 
 class TestLastModified:
@@ -83,13 +90,32 @@ class TestLastModified:
 
     def test_transport_failure_is_error(self):
         ctx = make_ctx([])
-        assert probe_last_modified(URI, ctx).status == "error"
+        r = probe_last_modified(URI, ctx)
+        assert r.status == "error"
+        assert r.error == str(UnmatchedInteraction(f"HEAD {URI}"))
+
+    @pytest.mark.parametrize("status, expected", [
+        (200, ("ok", parse_iso_timestamp("2013-02-27T17:27:20"), None)),
+        (404, ("empty", None, None)),
+        (500, ("error", None, f"HTTP 500 for {URI}")),
+    ])
+    def test_header_read_only_from_a_200(self, status, expected):
+        resp = head_resp("Wed, 27 Feb 2013 17:27:20 GMT", status=status)
+        r = probe_last_modified(URI, make_ctx([("HEAD", str(URI), resp)]))
+        assert (r.status, r.estimate, r.error) == expected
 
     def test_unparsable_header_is_empty(self):
         ctx = make_ctx([("HEAD", str(URI), head_resp("last tuesday"))])
         r = probe_last_modified(URI, ctx)
         assert r.status == "empty"
         assert r.detail == {"unparsable": "last tuesday"}
+
+
+# Capture times on both sides of the plausibility window, and its edges.
+ARCHIVE_TIMES = st.one_of(
+    st.integers(min_value=0, max_value=NOW + 5 * 365 * 86400),
+    st.sampled_from([EARLIEST_PLAUSIBLE - 1, EARLIEST_PLAUSIBLE, NOW, NOW + 1]),
+)
 
 
 class TestArchives:
@@ -139,6 +165,38 @@ class TestArchives:
         r = query_archives(URI, ctx)
         assert r.estimate == t_ok
         assert "a.org" not in r.detail["by_archive"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.tuples(st.sampled_from(["a.example", "b.example", "c.example"]),
+                  ARCHIVE_TIMES, st.one_of(st.none(), ARCHIVE_TIMES)),
+        max_size=8,
+    ))
+    def test_matches_brute_force_minimum(self, mementos):
+        """The estimate is the least plausible candidate, min(datetime,
+        last-modified), and by_archive the least per host."""
+        window = PlausibilityWindow(now=NOW)
+        lines = [f'<{URI}>;rel="original"']
+        plausible = []
+        for i, (host, t, last_modified) in enumerate(mementos):
+            attrs = f'rel="memento";datetime="{render_http_date(t)}"'
+            if last_modified is not None:
+                attrs += f';last-modified="{render_http_date(last_modified)}"'
+            lines.append(f"<http://{host}/{i}/{URI}>;{attrs}")
+            candidate = t if last_modified is None else min(t, last_modified)
+            if window.earliest <= candidate <= window.now:
+                plausible.append((host, candidate))
+        body = ",\n".join(lines)
+        ctx = make_ctx([("GET", EP.timemap_url(str(URI)), HttpResponse(200, {}, body))])
+        r = query_archives(URI, ctx)
+        if not plausible:
+            assert (r.status, r.estimate, r.detail) == ("empty", None, {})
+            return
+        assert r.status == "ok"
+        assert r.estimate == min(c for _, c in plausible)
+        assert r.detail["by_archive"] == {
+            host: min(c for h, c in plausible if h == host) for host, _ in plausible
+        }
 
 
 class TestShortener:

@@ -20,7 +20,6 @@ from carbondate.timemaps import (
     Memento,
     Timemap,
     contains_link,
-    earliest_memento,
     first_linking_memento,
     parse_timemap,
     strip_archive_rewrite,
@@ -172,56 +171,6 @@ class TestParseTimemap:
         assert m.original_last_modified == parse_iso_timestamp("2009-01-05T00:00:00")
 
 
-class TestEarliestMemento:
-    def test_minimum(self, window):
-        tm = make_timemap(
-            [parse_iso_timestamp(f"{y}-06-01T00:00:00") for y in (2009, 2010, 2011)]
-        )
-        found = earliest_memento(tm, window)
-        assert found is tm.mementos[0]
-
-    def test_clock_error_filtered(self, window):
-        tm = make_timemap([parse_iso_timestamp("1901-01-01T00:00:00")])
-        assert earliest_memento(tm, window) is None
-
-    def test_candidate_uses_original_last_modified(self, window):
-        # Brute-force oracle: min over both fields of every memento.
-        m = Memento(
-            archive_host="a.org",
-            capture_uri="http://a.org/1",
-            memento_datetime=parse_iso_timestamp("2010-04-02T00:00:00"),
-            original_last_modified=parse_iso_timestamp("2009-01-05T00:00:00"),
-        )
-        tm = Timemap(original=ORIGINAL, mementos=(m,))
-        best = earliest_memento(tm, window)
-        oracle = min(
-            v
-            for mem in tm.mementos
-            for v in (mem.memento_datetime, mem.original_last_modified)
-            if v is not None
-        )
-        assert best.candidate() == oracle == parse_iso_timestamp("2009-01-05T00:00:00")
-
-    def test_tie_breaks_on_host(self, window):
-        t = parse_iso_timestamp("2009-09-30T11:58:25")
-        tm = Timemap(
-            original=ORIGINAL,
-            mementos=(
-                Memento("wayback.archive-it.org", "http://x/1", t),
-                Memento("api.wayback.archive.org", "http://x/2", t),
-            ),
-        )
-        assert earliest_memento(tm, window).archive_host == "api.wayback.archive.org"
-
-    def test_bound_over_all_survivors(self, window):
-        tm = make_timemap(
-            [parse_iso_timestamp(f"20{y:02d}-01-01T00:00:00") for y in range(1, 13)]
-        )
-        best = earliest_memento(tm, window)
-        for m in tm.mementos:
-            assert best.candidate() <= m.candidate()
-
-
 class TestContainsLink:
     target = normalize_uri("http://www.mementoweb.org")
 
@@ -305,23 +254,25 @@ class TestFirstLinkingMemento:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 33, 64])
     def test_exhaustive_boundaries(self, n):
         for k in list(range(n)) + [None]:
-            result, tm, _ = self.run_search(n, first_link=k)
+            result, tm, fetches = self.run_search(n, first_link=k)
             oracle = self.linear_oracle(n, k)
             expected = (
                 tm.mementos[oracle].memento_datetime if oracle is not None else None
             )
             assert result.found_at == expected
             assert result.fetches <= math.ceil(math.log2(n)) + 1
+            assert len(set(fetches)) == len(fetches) == result.fetches
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=65, max_value=512), st.data())
     def test_randomized_matches_oracle(self, n, data):
         k = data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=n - 1)))
-        result, tm, _ = self.run_search(n, first_link=k)
+        result, tm, fetches = self.run_search(n, first_link=k)
         oracle = self.linear_oracle(n, k)
         expected = tm.mementos[oracle].memento_datetime if oracle is not None else None
         assert result.found_at == expected
         assert result.fetches <= math.ceil(math.log2(n)) + 1
+        assert len(set(fetches)) == len(fetches) == result.fetches
 
     def test_failed_fetch_degrades_not_raises(self):
         result, _, _ = self.run_search(16, first_link=4, fail_at={5})
