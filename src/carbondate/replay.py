@@ -12,6 +12,7 @@ import gc
 import json
 import os
 import re
+import sys
 import threading
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
@@ -29,8 +30,14 @@ class UnmatchedInteraction(KeyError):
     """Replay had no recorded response for the requested key."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HttpResponse:
+    """One recorded or live answer.
+
+    ``headers`` is read-only: a loaded cassette keeps one map for all its
+    responses whose headers are equal, so changing one changes them all.
+    """
+
     status: int
     headers: dict[str, str]
     body: str
@@ -43,7 +50,7 @@ class HttpResponse:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interaction:
     method: str
     url: str
@@ -63,22 +70,31 @@ class Interaction:
     def from_json(cls, obj: dict) -> "Interaction":
         """The interaction a cassette line holds; ValueError unless its
         types are the ones HttpResponse promises."""
-        req, resp = obj["request"], obj["response"]
-        status = resp["status"]
-        # Exactly an int: "200" or 200.9 is a malformed line, not a 200.
-        if type(status) is not int or not 100 <= status <= 599:
-            raise ValueError(f"status code is not an integer in 100-599: {status!r}")
-        method, url = req["method"], req["url"]
-        headers = dict(resp.get("headers", {}))
-        body = resp.get("body", "")
-        for value in (method, url, body, *headers.values()):
-            if type(value) is not str:
-                raise ValueError(f"not a string: {value!r}")
-        return cls(
-            method=method.upper(),
-            url=url,
-            response=HttpResponse(status=status, headers=headers, body=body),
-        )
+        method, url, status, headers, body = _entry_fields(obj)
+        return cls(method, url, HttpResponse(status, dict(headers), body))
+
+
+def _entry_fields(obj: dict) -> tuple[str, str, int, dict[str, str], str]:
+    """Method, URL, status, headers and body of a cassette line, checked.
+
+    The method comes back upper-cased and interned, so all entries share
+    one string per method; the headers map is obj's own.
+    """
+    req, resp = obj["request"], obj["response"]
+    status = resp["status"]
+    # Exactly an int: "200" or 200.9 is a malformed line, not a 200.
+    if type(status) is not int or not 100 <= status <= 599:
+        raise ValueError(f"status code is not an integer in 100-599: {status!r}")
+    method, url = req["method"], req["url"]
+    headers = resp.get("headers", {})
+    # dict() would turn a list of pairs into a map; a line must hold one.
+    if type(headers) is not dict:
+        raise ValueError(f"headers are not a JSON object: {headers!r}")
+    body = resp.get("body", "")
+    for value in (method, url, body, *headers.values()):
+        if type(value) is not str:
+            raise ValueError(f"not a string: {value!r}")
+    return sys.intern(_upper(method)), url, status, headers, body
 
 
 # A URL urlsplit/urlunsplit would return unchanged: lowercase scheme and a
@@ -107,16 +123,24 @@ def _sorted_query(query: str) -> Optional[str]:
     return "&".join([f"{key}={value}" for key, value in pairs])
 
 
+def _upper(method: str) -> str:
+    """method.upper(), and the very object when it is upper-case already."""
+    if method.isascii() and method.isupper():
+        return method
+    return method.upper()
+
+
 def match_key(method: str, url: str) -> tuple[str, str]:
     """Canonical lookup key: upper method + URL with lowercased scheme/host
     and sorted query parameters."""
+    method = _upper(method)
     if _CANONICAL_URL.fullmatch(url):
-        return method.upper(), url
+        return method, url
     m = _CANONICAL_QUERY_URL.fullmatch(url)
     if m:
         query = _sorted_query(m[2])
         if query is not None:
-            return method.upper(), f"{m[1]}?{query}"
+            return method, f"{m[1]}?{query}"
     parts = urlsplit(url)
     query = urlencode(sorted(parse_qsl(parts.query, keep_blank_values=True)))
     normalized = urlunsplit(
@@ -128,7 +152,7 @@ def match_key(method: str, url: str) -> tuple[str, str]:
             "",
         )
     )
-    return method.upper(), normalized
+    return method, normalized
 
 
 @dataclass
@@ -143,14 +167,17 @@ class Cassette:
         if key in self.entries:
             return
         response = interaction.response
-        if any(k.lower() in self.volatile_headers for k in response.headers):
-            clean = {
-                k: v
-                for k, v in response.headers.items()
-                if k.lower() not in self.volatile_headers
-            }
-            interaction = replace(interaction, response=replace(response, headers=clean))
+        headers = self._kept(response.headers)
+        if headers is not response.headers:
+            interaction = replace(interaction, response=replace(response, headers=headers))
         self.entries[key] = interaction
+
+    def _kept(self, headers: dict[str, str]) -> dict[str, str]:
+        """headers itself, or a new map without the volatile ones."""
+        volatile = self.volatile_headers
+        if any(k.lower() in volatile for k in headers):
+            return {k: v for k, v in headers.items() if k.lower() not in volatile}
+        return headers
 
     def lookup(self, method: str, url: str) -> Interaction:
         # A request for exactly the recorded URL needs no normalizing. The
@@ -204,14 +231,28 @@ class Cassette:
                         f"unsupported cassette version {version!r} in {path};"
                         f" expected {CASSETTE_VERSION}"
                     )
+                volatile = header.get("volatile_headers", [])
+                if type(volatile) is not list or any(type(h) is not str for h in volatile):
+                    raise ValueError(
+                        f"volatile_headers is not a list of strings in {path}: {volatile!r}"
+                    )
                 cassette = cls(
                     recorded_at=parse_iso_timestamp(header["recorded_at"]),
-                    volatile_headers=tuple(
-                        h.lower() for h in header.get("volatile_headers", [])
-                    ),
+                    volatile_headers=tuple(h.lower() for h in volatile),
                 )
+                # add()'s rules, with one map kept per distinct header map,
+                # chosen before the entry is built.
+                entries = cassette.entries
+                maps: dict[tuple, dict[str, str]] = {}
                 for obj in objects:
-                    cassette.add(Interaction.from_json(obj))
+                    method, url, status, headers, body = _entry_fields(obj)
+                    key = match_key(method, url)
+                    if key not in entries:
+                        headers = cassette._kept(headers)
+                        headers = maps.setdefault(tuple(headers.items()), headers)
+                        entries[key] = Interaction(
+                            method, url, HttpResponse(status, headers, body)
+                        )
         except (AttributeError, KeyError, TypeError, OverflowError,
                 RecursionError) as exc:
             raise ValueError(f"malformed cassette {path}: {exc!r}") from exc

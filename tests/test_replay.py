@@ -255,6 +255,27 @@ class TestCassetteFile:
         with pytest.raises(ValueError, match="string"):
             Cassette.load(str(path))
 
+    @pytest.mark.parametrize("headers", [[["Last-Modified", "x"]], ["ab"], "", None])
+    def test_headers_must_be_an_object(self, tmp_path, headers):
+        entry = interaction().to_json()
+        entry["response"]["headers"] = headers
+        with pytest.raises(ValueError, match="not a JSON object"):
+            Interaction.from_json(entry)
+        path = tmp_path / "c.jsonl"
+        header = {"version": 1, "recorded_at": "2013-03-01T00:00:00"}
+        path.write_text(json.dumps(header) + "\n" + json.dumps(entry) + "\n")
+        with pytest.raises(ValueError, match="not a JSON object"):
+            Cassette.load(str(path))
+
+    @pytest.mark.parametrize("volatile", ["date", [1], ["date", None], {"date": 1}])
+    def test_volatile_headers_must_be_a_list_of_strings(self, tmp_path, volatile):
+        path = tmp_path / "c.jsonl"
+        header = {"version": 1, "recorded_at": "2013-03-01T00:00:00",
+                  "volatile_headers": volatile}
+        self.write_cassette(path, header)
+        with pytest.raises(ValueError, match="not a list of strings"):
+            Cassette.load(str(path))
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
@@ -324,9 +345,12 @@ def reference_load(path):
     header = json.loads(lines[0])
     if header.get("version") != 1:
         raise ValueError("version")
+    volatile = header.get("volatile_headers", [])
+    if not isinstance(volatile, list) or not all(isinstance(h, str) for h in volatile):
+        raise ValueError("volatile_headers")
     cassette = Cassette(
         recorded_at=parse_iso_timestamp(header["recorded_at"]),
-        volatile_headers=tuple(h.lower() for h in header.get("volatile_headers", [])),
+        volatile_headers=tuple(h.lower() for h in volatile),
     )
     for line in lines[1:]:
         cassette.add(Interaction.from_json(json.loads(line)))
@@ -468,3 +492,44 @@ class TestCassetteLoadRobustness:
         # Only the lone surrogate is a string; any other body or header
         # value makes the line malformed, however orjson reads it.
         assert (got is ValueError) == (value != "\ud800")
+
+
+class TestCompactLayout:
+    """A loaded cassette holds one header map per distinct map and one
+    string per method, in entries without a __dict__."""
+
+    @pytest.fixture(scope="class")
+    def world_file(self, tmp_path_factory):
+        from carbondate.synth import generate_world
+
+        _, cassette = generate_world(seed=7, n=200)
+        path = tmp_path_factory.mktemp("compact") / "world.jsonl"
+        cassette.save(str(path))
+        return path
+
+    def test_layout(self, world_file, tmp_path):
+        loaded = Cassette.load(str(world_file))
+        responses = [e.response for e in loaded.entries.values()]
+        distinct_maps = {tuple(r.headers.items()) for r in responses}
+        assert 1 < len(distinct_maps) < len(responses)
+        assert len({id(r.headers) for r in responses}) == len(distinct_maps)
+
+        methods = [e.method for e in loaded.entries.values()]
+        methods += [method for method, _ in loaded.entries]
+        assert {"GET", "HEAD"} <= set(methods)
+        assert len({id(m) for m in methods}) == len(set(methods))
+
+        interaction = next(iter(loaded.entries.values()))
+        assert not hasattr(interaction, "__dict__")
+        assert not hasattr(interaction.response, "__dict__")
+
+        again = tmp_path / "again.jsonl"
+        loaded.save(str(again))
+        assert again.read_bytes() == world_file.read_bytes()
+
+    def test_add_leaves_callers_headers_alone(self):
+        headers = {"Date": "whenever", "X-Keep": "yes"}
+        c = Cassette(recorded_at=NOW)
+        c.add(interaction(headers=headers))
+        assert headers == {"Date": "whenever", "X-Keep": "yes"}
+        assert c.lookup("HEAD", "http://example.com/").response.headers == {"X-Keep": "yes"}
