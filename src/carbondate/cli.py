@@ -137,10 +137,14 @@ def _run_batch(args) -> int:
                 report = {"input": raw, "error": str(exc)}
             sink.write(json.dumps(report) + "\n")
     finally:
-        if args.out:
-            sink.close()
-    if config.mode == "record":
-        ctx.transport.sink.save(config.cassette_path)
+        try:
+            if args.out:
+                sink.close()
+        finally:
+            # Saved however the loop ends, so an interrupt keeps what was
+            # captured before it.
+            if config.mode == "record":
+                ctx.transport.sink.save(config.cassette_path)
     return 0
 
 

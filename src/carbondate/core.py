@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 from typing import Optional
 from urllib.parse import urlsplit
 
@@ -70,6 +70,9 @@ class PlausibilityWindow:
 
 _PCT = re.compile(r"%[0-9a-fA-F]{2}")
 _HOST_OK = re.compile(r"^[a-z0-9._~!$&'()*+,;=-]+$")
+# Already canonical: lower-case http(s), a host urlsplit keeps whole, and a
+# path with no "%", query, fragment, port or whitespace to normalize.
+_CANONICAL = re.compile(r"(https?)://([a-z0-9._~-]+)(/[A-Za-z0-9._~!$&'()*+,;=:@/-]*)?")
 
 
 def _upper_pct(s: str) -> str:
@@ -85,6 +88,10 @@ def normalize_uri(raw: str) -> CanonicalUri:
     into "/", uppercases percent-escapes, and drops any fragment. Only
     http and https are accepted.
     """
+    m = _CANONICAL.fullmatch(raw) if isinstance(raw, str) else None
+    if m:
+        scheme, host, path = m.groups()
+        return CanonicalUri(scheme=scheme, host=host, port=None, path=path or "/")
     if not raw or not raw.strip():
         raise MalformedUri("empty URI")
     try:
@@ -129,11 +136,19 @@ _MONTHS = {
 }
 
 
+_EPOCH = datetime(1970, 1, 1)
+_EPOCH_ORD = _EPOCH.toordinal()
+
+
 def _build(year: int, mon_name: str, day: int, hh: int, mm: int, ss: int) -> int:
     month = _MONTHS.get(mon_name.capitalize())
     if month is None:
         raise UnparsableDate(f"unknown month {mon_name!r}")
     try:
+        if hh < 24 and mm < 60 and ss < 60:
+            days = date(year, month, day).toordinal() - _EPOCH_ORD
+            return days * 86400 + hh * 3600 + mm * 60 + ss
+        # datetime rejects the hour, minute or second with its own message.
         dt = datetime(year, month, day, hh, mm, ss, tzinfo=timezone.utc)
     except ValueError as exc:
         raise UnparsableDate(str(exc)) from exc
@@ -200,6 +215,10 @@ def parse_iso_timestamp(s: str) -> int:
 
 def render_iso_timestamp(t: int) -> str:
     """Render epoch seconds as "YYYY-MM-DDTHH:MM:SS" (UTC, no suffix)."""
+    # From 1970 to 9999 isoformat prints what strftime does; outside that
+    # range strftime's short years and fromtimestamp's errors are kept.
+    if type(t) is int and 0 <= t < 253402300800:
+        return (_EPOCH + timedelta(seconds=t)).isoformat()
     return datetime.fromtimestamp(t, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import queue
+import string
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -57,6 +58,17 @@ FLAG_PARTIAL_FETCH = "partial_fetch"
 POOL_WORKERS = 32
 _POOL_LOCK = threading.Lock()
 
+# quote(s, safe="") of an ASCII string: urllib's always-safe characters
+# stay, every other one becomes its upper-case %XX.
+_ALWAYS_SAFE = string.ascii_letters + string.digits + "_.-~"
+_QUOTE_ASCII = str.maketrans(
+    {c: f"%{ord(c):02X}" for c in map(chr, range(128)) if c not in _ALWAYS_SAFE}
+)
+
+
+def _quote(s: str) -> str:
+    return s.translate(_QUOTE_ASCII) if s.isascii() else quote(s, safe="")
+
 
 @dataclass(frozen=True)
 class Endpoints:
@@ -72,25 +84,25 @@ class Endpoints:
         return self.timemap_base + uri
 
     def shortener_lookup_url(self, uri: str) -> str:
-        return f"{self.shortener_base}/lookup?url={quote(uri, safe='')}"
+        return f"{self.shortener_base}/lookup?url={_quote(uri)}"
 
     def shortener_info_url(self, short_id: str) -> str:
-        return f"{self.shortener_base}/info?id={quote(short_id, safe='')}"
+        return f"{self.shortener_base}/info?id={_quote(short_id)}"
 
     def social_search_url(self, uri: str) -> str:
         return (
-            f"{self.social_base}/search?uri={quote(uri, safe='')}"
+            f"{self.social_base}/search?uri={_quote(uri)}"
             f"&limit={SOCIAL_POST_LIMIT}"
         )
 
     def crawl_url(self, uri: str) -> str:
         return (
-            f"{self.index_base}/crawl?uri={quote(uri, safe='')}"
+            f"{self.index_base}/crawl?uri={_quote(uri)}"
             f"&years={SEARCH_WINDOW_YEARS}"
         )
 
     def backlinks_url(self, uri: str) -> str:
-        return f"{self.index_base}/backlinks?uri={quote(uri, safe='')}"
+        return f"{self.index_base}/backlinks?uri={_quote(uri)}"
 
 
 @dataclass

@@ -34,7 +34,7 @@ class FetchFailed(RuntimeError):
         self.status = status
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Memento:
     archive_host: str
     capture_uri: str
@@ -63,6 +63,13 @@ _TOP_LEVEL_PARAMS = re.compile(r'(?:[^;"]+|"[^"]*"?)+')
 
 
 _ENTRY = re.compile(r"^\s*<([^>]*)>\s*(.*)$", re.DOTALL)
+# The shape of nearly every aggregator entry. A full match gives the
+# target, host, rel and datetime that _parse_entry and urlsplit would; any
+# other entry (a port, userinfo, an upper-case scheme, more params) goes
+# through them.
+_MEMENTO_ENTRY = re.compile(
+    r'\s*<(https?://([a-z0-9.-]+)(?:[/?#][^>\s]*)?)>;rel="([^"]*)";datetime="([^"]*)"\s*'
+)
 
 
 def _parse_entry(entry: str) -> Optional[tuple[str, dict[str, str]]]:
@@ -94,20 +101,22 @@ def parse_timemap(body: str, original: CanonicalUri) -> Timemap:
     parsed_any = False
     mementos: list[Memento] = []
     for entry in _TOP_LEVEL_ENTRIES.findall(body):
-        if not entry.strip():
-            continue
-        parsed = _parse_entry(entry)
-        if parsed is None:
-            continue
+        fast = _MEMENTO_ENTRY.fullmatch(entry)
+        if fast:
+            target, host, rel, when = fast.groups()
+            params: dict[str, str] = {}
+        else:
+            parsed = _parse_entry(entry)
+            if parsed is None:
+                continue
+            target, params = parsed
+            host = None
+            rel, when = params.get("rel", ""), params.get("datetime")
         parsed_any = True
-        target, params = parsed
-        rels = params.get("rel", "").split()
-        if "memento" not in rels:
-            continue
-        if "datetime" not in params:
+        if "memento" not in rel.split() or when is None:
             continue
         try:
-            dt = parse_http_date(params["datetime"])
+            dt = parse_http_date(when)
         except UnparsableDate:
             continue
         last_mod: Optional[int] = None
@@ -116,10 +125,11 @@ def parse_timemap(body: str, original: CanonicalUri) -> Timemap:
                 last_mod = parse_http_date(params["last-modified"])
             except UnparsableDate:
                 last_mod = None
-        host = urlsplit(target).hostname or ""
+        if host is None:
+            host = (urlsplit(target).hostname or "").lower()
         mementos.append(
             Memento(
-                archive_host=host.lower(),
+                archive_host=host,
                 capture_uri=target,
                 memento_datetime=dt,
                 original_last_modified=last_mod,
@@ -164,8 +174,12 @@ def contains_link(
     hrefs are resolved against base_uri when given. Unparsable hrefs are
     skipped.
     """
-    collector = _AnchorCollector()
     try:
+        # No text "href" means no href attribute: HTMLParser lower-cases
+        # attribute names with str.lower as well.
+        if "href" not in body.lower():
+            return False
+        collector = _AnchorCollector()
         collector.feed(body)
     except Exception:
         return False

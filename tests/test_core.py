@@ -1,12 +1,18 @@
 from __future__ import annotations
 
-from datetime import date
+import re
+from datetime import date, datetime, timezone
+from urllib.parse import urlsplit
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carbondate.core import (
+    _HOST_OK,
+    _MONTHS,
+    _build,
+    CanonicalUri,
     MalformedUri,
     PlausibilityWindow,
     UnparsableDate,
@@ -21,6 +27,72 @@ from carbondate.core import (
 )
 
 NOW = parse_iso_timestamp("2013-03-01T00:00:00")
+
+
+def outcome(f, *args):
+    """f's value, or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def normalize_uri_reference(raw):
+    """normalize_uri with every raw string through urlsplit."""
+    if not raw or not raw.strip():
+        raise MalformedUri("empty URI")
+    try:
+        parts = urlsplit(raw.strip())
+    except ValueError as exc:
+        raise MalformedUri(str(exc)) from exc
+    scheme = parts.scheme.lower()
+    if scheme not in ("http", "https"):
+        raise MalformedUri(f"unsupported or missing scheme in {raw!r}")
+    try:
+        hostname = parts.hostname
+        port = parts.port
+    except ValueError as exc:
+        raise MalformedUri(str(exc)) from exc
+    if not hostname:
+        raise MalformedUri(f"no host in {raw!r}")
+    host = hostname.lower()
+    if not _HOST_OK.match(host):
+        raise MalformedUri(f"invalid host in {raw!r}")
+    if port == (80 if scheme == "http" else 443):
+        port = None
+
+    def upper_pct(s):
+        return re.sub(r"%[0-9a-fA-F]{2}", lambda m: m.group(0).upper(), s)
+
+    path = upper_pct(parts.path) or "/"
+    query = upper_pct(parts.query) if parts.query else None
+    return CanonicalUri(scheme=scheme, host=host, port=port, path=path, query=query)
+
+
+def build_reference(year, mon_name, day, hh, mm, ss):
+    """_build through datetime alone."""
+    month = _MONTHS.get(mon_name.capitalize())
+    if month is None:
+        raise UnparsableDate(f"unknown month {mon_name!r}")
+    try:
+        dt = datetime(year, month, day, hh, mm, ss, tzinfo=timezone.utc)
+    except ValueError as exc:
+        raise UnparsableDate(str(exc)) from exc
+    return int(dt.timestamp())
+
+
+def render_iso_reference(t):
+    return datetime.fromtimestamp(t, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
+
+
+URI_PIECES = st.tuples(
+    st.sampled_from(["http", "https", "HTTP", "hTTps", "ftp", ""]),
+    st.sampled_from(["://", ":/", ":", "//"]),
+    st.sampled_from(["", "user@", "u:p@"]),
+    st.text(alphabet="abcXY09.-_~!", max_size=12),
+    st.sampled_from(["", ":80", ":443", ":8080", ":", ":x"]),
+    st.text(alphabet="/aZ9._~!$&'()*+,;=:@-%2fC?#[] \t\u00e9", max_size=16),
+)
 
 
 class TestNormalizeUri:
@@ -77,6 +149,24 @@ class TestNormalizeUri:
             return
         assert normalize_uri(str(once)) == once
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(URI_PIECES.map("".join), st.text(max_size=30)))
+    @example("http://example.com/a%2fb")
+    @example("http://example.com/a?b")
+    @example("http://example.com/a#b")
+    @example("http://Example.com/")
+    @example("HTTP://example.com/")
+    @example("http://example.com:80/")
+    @example("http://u@example.com/")
+    @example(" http://example.com/")
+    @example("http://example.com/a b")
+    @example("http://example.com/a ")
+    @example("http://example.com/a\tb")
+    @example("http://ex_ample.com/x")
+    @example("http://example.com/\u00e9")
+    def test_matches_urlsplit_reference(self, raw):
+        assert outcome(normalize_uri, raw) == outcome(normalize_uri_reference, raw)
+
 
 class TestParseHttpDate:
     def test_rfc1123(self):
@@ -120,6 +210,28 @@ class TestParseHttpDate:
     def test_rfc1123_round_trip(self, t):
         assert parse_http_date(render_http_date(t)) == t
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.integers(0, 9999),
+        st.sampled_from(sorted(_MONTHS) + ["feb", "DEC", "Foo"]),
+        st.integers(0, 32),
+        st.integers(0, 99),
+        st.integers(0, 99),
+        st.integers(0, 99),
+    )
+    @example(2013, "Apr", 31, 0, 0, 0)
+    @example(2013, "Feb", 29, 0, 0, 0)
+    @example(2012, "Feb", 29, 12, 0, 0)
+    @example(2013, "Jan", 1, 24, 0, 0)
+    @example(2013, "Jan", 1, 23, 60, 0)
+    @example(2013, "Jan", 1, 23, 59, 60)
+    @example(0, "Jan", 1, 0, 0, 0)
+    @example(1, "Jan", 1, 0, 0, 0)
+    @example(9999, "Dec", 31, 23, 59, 59)
+    def test_build_matches_datetime(self, year, mon, day, hh, mm, ss):
+        args = (year, mon, day, hh, mm, ss)
+        assert outcome(_build, *args) == outcome(build_reference, *args)
+
 
 class TestPlausibility:
     def test_pre_1995_rejected(self, window):
@@ -161,3 +273,17 @@ class TestDays:
     def test_iso_round_trip(self):
         s = "2009-09-30T11:58:25"
         assert render_iso_timestamp(parse_iso_timestamp(s)) == s
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        st.integers(-(10**12), 3 * 10**11),
+        st.integers(-(10**25), 10**25),
+    ))
+    @example(0)
+    @example(-1)
+    @example(253402300799)  # the last second of 9999
+    @example(253402300800)
+    @example(-30631392000)  # 0999-05-01, which strftime prints as "999"
+    @example(10**20)
+    def test_render_iso_matches_strftime(self, t):
+        assert outcome(render_iso_timestamp, t) == outcome(render_iso_reference, t)

@@ -12,6 +12,7 @@ import wsgiref.simple_server
 import pytest
 
 import carbondate.cli as cli
+import carbondate.replay as replay
 import carbondate.service as service
 from carbondate.cli import eval_main, main
 from carbondate.core import parse_iso_timestamp
@@ -340,6 +341,36 @@ class TestBatchCli:
         assert len(lines) == 2
         assert "error" not in lines[0]
         assert lines[1]["input"] == "not a uri"
+
+    def test_record_keeps_capture_when_interrupted(
+        self, tmp_path, monkeypatch, mementoweb_cassette_path
+    ):
+        # The fixture stands in for the live web until the third request,
+        # which is interrupted as by Ctrl-C.
+        web = ReplayTransport(Cassette.load(mementoweb_cassette_path))
+        asked = []
+
+        def request(self, method, url):
+            asked.append((method, url))
+            if len(asked) == 3:
+                raise KeyboardInterrupt
+            return web.request(method, url)
+
+        monkeypatch.setattr(replay.LiveTransport, "request", request)
+        uris = tmp_path / "uris.txt"
+        uris.write_text("http://www.mementoweb.org\nhttp://example.com/\n")
+        path = tmp_path / "recorded.jsonl"
+        argv = [
+            "batch", str(uris), "--record", str(path), "--parallelism", "1",
+            "--out", str(tmp_path / "out.jsonl"),
+        ]
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        saved = Cassette.load(str(path))
+        assert len(asked) == 3
+        assert [(e.method, e.url) for e in saved.entries.values()] == asked[:2]
+        for method, url in asked[:2]:
+            assert saved.lookup(method, url).response == web.request(method, url)
 
     def test_unreadable_input_is_nonzero(self, tmp_path, capsys):
         rc = main(["batch", str(tmp_path / "missing.txt")])

@@ -6,9 +6,10 @@ import json
 import sys
 import threading
 import time
+from urllib.parse import quote
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import carbondate.sources as sources
@@ -68,6 +69,25 @@ def head_resp(last_modified=None, status=200):
     if last_modified is not None:
         headers["Last-Modified"] = last_modified
     return HttpResponse(status=status, headers=headers, body="")
+
+
+class TestEndpointQuoting:
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.text(alphabet=st.characters(max_codepoint=127)), st.text()))
+    @example("http://example.com/a b?c=d&e#f")
+    @example("AZaz09_.-~")
+    @example("\x00\x7f%é")
+    def test_matches_urllib_quote(self, s):
+        q = quote(s, safe="")
+        assert EP.shortener_lookup_url(s) == f"{EP.shortener_base}/lookup?url={q}"
+        assert EP.shortener_info_url(s) == f"{EP.shortener_base}/info?id={q}"
+        assert EP.social_search_url(s) == (
+            f"{EP.social_base}/search?uri={q}&limit={sources.SOCIAL_POST_LIMIT}"
+        )
+        assert EP.crawl_url(s) == (
+            f"{EP.index_base}/crawl?uri={q}&years={sources.SEARCH_WINDOW_YEARS}"
+        )
+        assert EP.backlinks_url(s) == f"{EP.index_base}/backlinks?uri={q}"
 
 
 class TestLastModified:

@@ -2,19 +2,24 @@ from __future__ import annotations
 
 import math
 import random
+from urllib.parse import urljoin, urlsplit
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carbondate.core import (
+    UnparsableDate,
     normalize_uri,
+    parse_http_date,
     parse_iso_timestamp,
     render_http_date,
 )
 from carbondate.timemaps import (
     _TOP_LEVEL_ENTRIES,
     _TOP_LEVEL_PARAMS,
+    _AnchorCollector,
+    _parse_entry,
     FetchFailed,
     MalformedTimemap,
     Memento,
@@ -68,6 +73,112 @@ def split_top_level_loop(text, sep):
     return out
 
 
+def parse_timemap_reference(body, original):
+    """parse_timemap with every entry through _parse_entry and urlsplit."""
+    parsed_any = False
+    mementos = []
+    for entry in _TOP_LEVEL_ENTRIES.findall(body):
+        if not entry.strip():
+            continue
+        parsed = _parse_entry(entry)
+        if parsed is None:
+            continue
+        parsed_any = True
+        target, params = parsed
+        if "memento" not in params.get("rel", "").split() or "datetime" not in params:
+            continue
+        try:
+            dt = parse_http_date(params["datetime"])
+        except UnparsableDate:
+            continue
+        last_mod = None
+        if "last-modified" in params:
+            try:
+                last_mod = parse_http_date(params["last-modified"])
+            except UnparsableDate:
+                last_mod = None
+        host = urlsplit(target).hostname or ""
+        mementos.append(Memento(host.lower(), target, dt, last_mod))
+    if not parsed_any:
+        raise MalformedTimemap("no link entries parsed")
+    mementos.sort(key=lambda m: (m.memento_datetime, m.archive_host))
+    return Timemap(original=original, mementos=tuple(mementos))
+
+
+def contains_link_reference(body, target, base_uri=None):
+    """contains_link with every body through HTMLParser."""
+    collector = _AnchorCollector()
+    try:
+        collector.feed(body)
+    except Exception:
+        return False
+    for href in collector.hrefs:
+        candidate = strip_archive_rewrite(href.strip())
+        try:
+            if "://" not in candidate:
+                if base_uri is None:
+                    continue
+                candidate = strip_archive_rewrite(urljoin(base_uri, candidate))
+            if normalize_uri(candidate) == target:
+                return True
+        except ValueError:
+            continue
+    return False
+
+
+def outcome(f, *args):
+    """f's value, or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+DATES = [
+    "Fri, 10 Feb 2006 20:02:36 GMT",
+    "Sun Nov  6 08:49:37 1994",
+    "Fri, 30 Feb 2006 20:02:36 GMT",
+    "soon",
+]
+EXTRA_PARAMS = [
+    ("title", '"a, b"'), ("rel", '"original"'), ("datetime", f'"{DATES[1]}"'), ("type", "x"),
+]
+
+
+@st.composite
+def timemap_entry(draw):
+    """An entry in the exact memento shape, or one piece away from it."""
+    miss = draw(st.one_of(st.none(), st.sampled_from([
+        "scheme", "userinfo", "host", "port", "space inside", "extra param",
+        "reordered", "spaced separator", "last-modified", "key",
+    ])))
+    schemes = ["HTTP", "Https", "ftp"] if miss == "scheme" else ["http", "https"]
+    host_chars = "ab9.-" + ("_A" if miss == "host" else "")
+    target = "".join([
+        draw(st.sampled_from(schemes)),
+        "://",
+        "user@" if miss == "userinfo" else "",
+        draw(st.text(alphabet=host_chars, min_size=1, max_size=8)),
+        draw(st.sampled_from([":8080", ":80", ":"])) if miss == "port" else "",
+        draw(st.sampled_from(["", "/", "?", "#"])),
+        draw(st.text(alphabet='/?#a%,;"[]é', max_size=8)),
+    ])
+    if miss == "space inside":
+        target = draw(st.sampled_from([" " + target, target + " ", target.replace("/", " /", 1)]))
+    key = draw(st.sampled_from(["REL", "Rel", "rev", "title"])) if miss == "key" else "rel"
+    rel = draw(st.sampled_from(["memento", "first memento", "original", "memento;x", "", "x,memento"]))
+    params = [(key, f'"{rel}"'), ("datetime", '"%s"' % draw(st.sampled_from(DATES)))]
+    if miss == "extra param":
+        params.append(draw(st.sampled_from(EXTRA_PARAMS)))
+    if miss == "last-modified":
+        params.append(("last-modified", '"%s"' % draw(st.sampled_from(DATES))))
+    if miss == "reordered":
+        params.reverse()
+    sep = draw(st.sampled_from([" ;", "; ", ";\n"])) if miss == "spaced separator" else ";"
+    space = draw(st.sampled_from(["", " ", "\n "]))
+    return f"{space}<{target}>" + "".join(f"{sep}{k}={v}" for k, v in params) + space
+
+
 class TestTopLevelSplit:
     @settings(max_examples=500, deadline=None)
     @given(
@@ -111,6 +222,27 @@ class TestTopLevelSplit:
 
 
 class TestParseTimemap:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(timemap_entry(), max_size=4).map(",".join))
+    @example('<http://a.example:8080/x>;rel="memento";datetime="%s"' % DATES[0])
+    @example('<http://u@a.example/x>;rel="memento";datetime="%s"' % DATES[0])
+    @example('<HTTP://a.example/x>;rel="memento";datetime="%s"' % DATES[0])
+    @example('<http://A.example/x>;rel="memento";datetime="%s"' % DATES[0])
+    @example('< http://a.example/x>;rel="memento";datetime="%s"' % DATES[0])
+    @example('<http://a.example/x >;rel="memento";datetime="%s"' % DATES[0])
+    @example('<http://a.example/x>;rel="memento";datetime="%s";title="t"' % DATES[0])
+    @example('<http://a.example/x>;datetime="%s";rel="memento"' % DATES[0])
+    @example(
+        '<http://a.example/x>;rel="memento";datetime="%s";last-modified="%s"' % tuple(DATES[:2])
+    )
+    @example('<http://a.example/x>;rel="x;memento";datetime="%s"' % DATES[0])
+    @example('<http://a.example/x>;rev="memento";datetime="%s"' % DATES[0])
+    @example('<http://a_b.example/x>;rel="memento";datetime="%s"' % DATES[0])
+    def test_matches_general_parser(self, body):
+        assert outcome(parse_timemap, body, ORIGINAL) == outcome(
+            parse_timemap_reference, body, ORIGINAL
+        )
+
     def test_sorted_output(self):
         body = ",\n".join(
             [
@@ -203,6 +335,23 @@ class TestContainsLink:
 
     def test_broken_html_skipped(self):
         assert not contains_link("<a href=<<<>>>", self.target)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(st.one_of(
+            st.sampled_from([
+                '<a href="http://www.mementoweb.org/">', "<A HREF='/'>", "<a hReF=/>",
+                "<a\nhref = http://www.mementoweb.org>", "</a>", "<p>", "<a name=x>",
+                "href", "<a h ref=/>", "<a data-href=/>", "&#104;ref", "<!-- <a href=/> -->",
+            ]),
+            st.text(max_size=10),
+        ), max_size=6).map("".join),
+        st.sampled_from([None, "http://www.mementoweb.org/"]),
+    )
+    def test_prefilter_matches_html_parser(self, body, base_uri):
+        assert contains_link(body, self.target, base_uri) == contains_link_reference(
+            body, self.target, base_uri
+        )
 
     def test_href_urljoin_cannot_split_skipped(self):
         body = '<a href="//[x">bad</a><a href="/">root</a>'
