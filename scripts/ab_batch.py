@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Interleaved A/B timing of the ``carbondate batch`` path on two source trees.
 
-    python3 scripts/ab_batch.py SRC_A SRC_B [--rounds 10] [--n 2000] [--passes 3]
+    python3 scripts/ab_batch.py SRC_A SRC_B [--rounds 10] [--n 2000]
 
 SRC_A and SRC_B are directories that hold a ``carbondate`` package, such
 as the ``src`` of two checkouts. The world ``generate_world(seed=7, n)`` is
@@ -9,7 +9,7 @@ built once with SRC_A and its cassette written to a temporary directory.
 Each round then runs one child process per tree, and the tree that goes
 first alternates from round to round, so a change in host load falls on
 both sides. A child loads the cassette as ``carbondate batch --replay``
-does, makes one warm-up pass and ``--passes`` timed passes over every URI
+does, makes one warm-up pass and ``PASSES`` timed passes over every URI
 (``normalize_uri``, ``gather_evidence``, ``aggregate``, ``render_report``),
 and checks each estimate against the world's identity.
 
@@ -30,9 +30,10 @@ from pathlib import Path
 from time import perf_counter
 
 SEED = 7
+PASSES = 3
 
 
-def child(src: str, world_dir: Path, passes: int) -> dict:
+def child(src: str, world_dir: Path) -> dict:
     """Time the batch path of the tree at src; runs in its own process."""
     sys.path.insert(0, src)
     from carbondate.aggregate import aggregate, render_report
@@ -54,7 +55,7 @@ def child(src: str, world_dir: Path, passes: int) -> dict:
     wrong = sum(not one(raw, expected) for raw, expected in items)
     latencies = []
     t0 = perf_counter()
-    for _ in range(passes):
+    for _ in range(PASSES):
         for raw, expected in items:
             start = perf_counter()
             ok = one(raw, expected)
@@ -78,9 +79,9 @@ def build(src: str, n: int, world_dir: Path) -> None:
     (world_dir / "items.json").write_text(json.dumps(items))
 
 
-def run_child(src: str, world_dir: Path, passes: int) -> dict:
+def run_child(src: str, world_dir: Path) -> dict:
     proc = subprocess.run(
-        [sys.executable, __file__, src, src, "--child", str(world_dir), "--passes", str(passes)],
+        [sys.executable, __file__, src, src, "--child", str(world_dir)],
         stdout=subprocess.PIPE, text=True, check=True,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -92,12 +93,11 @@ def main(argv=None) -> int:
     parser.add_argument("src_b", metavar="SRC_B")
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--n", type=int, default=2000, help="generate_world size")
-    parser.add_argument("--passes", type=int, default=3, help="timed passes per child")
     # A child process times SRC_A on the world already written to this directory.
     parser.add_argument("--child", metavar="WORLD_DIR", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        print(json.dumps(child(args.src_a, args.child, args.passes)))
+        print(json.dumps(child(args.src_a, args.child)))
         return 0
     srcs = {"A": str(Path(args.src_a).resolve()), "B": str(Path(args.src_b).resolve())}
     for name, src in srcs.items():
@@ -110,7 +110,7 @@ def main(argv=None) -> int:
         build(srcs["A"], args.n, world_dir)
         for r in range(args.rounds):
             for side in ("AB" if r % 2 == 0 else "BA"):
-                runs[side].append(run_child(srcs[side], world_dir, args.passes))
+                runs[side].append(run_child(srcs[side], world_dir))
             a, b = runs["A"][-1], runs["B"][-1]
             print(
                 f"round {r + 1:2}: A {a['uris_per_s']:8.0f} uri/s p99 {a['p99_ms']:6.3f} ms"

@@ -144,7 +144,7 @@ def _run_batch(args) -> int:
             # Saved however the loop ends, so an interrupt keeps what was
             # captured before it.
             if config.mode == "record":
-                ctx.transport.sink.save(config.cassette_path)
+                ctx.transport.save(config.cassette_path)
     return 0
 
 

@@ -324,6 +324,11 @@ class RecordingTransport:
             self.sink.add(Interaction(method=method.upper(), url=url, response=response))
         return response
 
+    def save(self, path: str) -> None:
+        """Save the sink; a thread still recording waits until it is written."""
+        with self._lock:
+            self.sink.save(path)
+
 
 class LiveTransport:
     """Real HTTP via requests. Only used outside of tests."""

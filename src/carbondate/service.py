@@ -201,4 +201,4 @@ def serve(config: ServiceConfig, ctx: Optional[SourceContext] = None) -> None:
             server.server_close()
         finally:
             if config.mode == "record":
-                ctx.transport.sink.save(config.cassette_path)
+                ctx.transport.save(config.cassette_path)

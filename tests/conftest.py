@@ -13,6 +13,14 @@ MEMENTOWEB_CASSETTE = REPO_ROOT / "fixtures" / "mementoweb.jsonl"
 NOW_2013 = parse_iso_timestamp("2013-03-01T04:44:47")
 
 
+def outcome(f, *args):
+    """f's value, or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 @pytest.fixture
 def window() -> PlausibilityWindow:
     return PlausibilityWindow(now=NOW_2013)

@@ -12,7 +12,7 @@ def test_tree_against_itself():
     src = str(REPO_ROOT / "src")
     proc = subprocess.run(
         [sys.executable, str(REPO_ROOT / "scripts" / "ab_batch.py"), src, src,
-         "--rounds", "2", "--n", "12", "--passes", "1"],
+         "--rounds", "2", "--n", "12"],
         capture_output=True,
         text=True,
         timeout=120,

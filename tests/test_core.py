@@ -26,15 +26,9 @@ from carbondate.core import (
     truncate_to_day,
 )
 
+from conftest import outcome
+
 NOW = parse_iso_timestamp("2013-03-01T00:00:00")
-
-
-def outcome(f, *args):
-    """f's value, or the type and message of what it raised."""
-    try:
-        return f(*args)
-    except Exception as exc:
-        return type(exc), str(exc)
 
 
 def normalize_uri_reference(raw):

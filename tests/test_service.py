@@ -372,6 +372,66 @@ class TestBatchCli:
         for method, url in asked[:2]:
             assert saved.lookup(method, url).response == web.request(method, url)
 
+    def test_record_interrupted_while_lanes_still_record(
+        self, tmp_path, monkeypatch, mementoweb_cassette_path
+    ):
+        # Ctrl-C reaches only the main thread. The helper lanes of the
+        # interrupted URI keep fetching, and they answer while the cassette
+        # is being written.
+        web = ReplayTransport(Cassette.load(mementoweb_cassette_path))
+        second_uri = threading.Event()
+        saving = threading.Event()
+        added_while_saving = threading.Event()
+        answered = []
+        before_interrupt = []
+        gather, add, to_json = cli.gather_evidence, Cassette.add, replay.Interaction.to_json
+
+        def gather_evidence(*args, **kwargs):
+            if gather_evidence.calls == 1:
+                second_uri.set()
+            gather_evidence.calls += 1
+            return gather(*args, **kwargs)
+
+        gather_evidence.calls = 0
+
+        def request(self, method, url):
+            if not second_uri.is_set():
+                response = web.request(method, url)
+                answered.append((method.upper(), url))
+                return response
+            if threading.current_thread() is threading.main_thread():
+                before_interrupt.extend(answered)
+                raise KeyboardInterrupt
+            saving.wait(5)
+            return replay.HttpResponse(200, {}, "")
+
+        def watched_add(self, interaction):
+            add(self, interaction)
+            if saving.is_set():
+                added_while_saving.set()
+
+        def waiting_to_json(self):
+            # The first entry written waits for a lane to record.
+            if not saving.is_set():
+                saving.set()
+                added_while_saving.wait(1)
+            return to_json(self)
+
+        monkeypatch.setattr(cli, "gather_evidence", gather_evidence)
+        monkeypatch.setattr(replay.LiveTransport, "request", request)
+        monkeypatch.setattr(Cassette, "add", watched_add)
+        monkeypatch.setattr(replay.Interaction, "to_json", waiting_to_json)
+        uris = tmp_path / "uris.txt"
+        uris.write_text("http://www.mementoweb.org\nhttp://example.com/\n")
+        path = tmp_path / "recorded.jsonl"
+        argv = ["batch", str(uris), "--record", str(path), "--out", str(tmp_path / "o")]
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        assert added_while_saving.wait(5), "no lane recorded after the interrupt"
+        saved = Cassette.load(str(path))
+        assert before_interrupt
+        assert {(e.method, e.url) for e in saved.entries.values()} == set(before_interrupt)
+
     def test_unreadable_input_is_nonzero(self, tmp_path, capsys):
         rc = main(["batch", str(tmp_path / "missing.txt")])
         assert rc == 1

@@ -30,6 +30,8 @@ from carbondate.timemaps import (
     strip_archive_rewrite,
 )
 
+from conftest import outcome
+
 ORIGINAL = normalize_uri("http://example.com/")
 
 
@@ -124,14 +126,6 @@ def contains_link_reference(body, target, base_uri=None):
         except ValueError:
             continue
     return False
-
-
-def outcome(f, *args):
-    """f's value, or the type and message of what it raised."""
-    try:
-        return f(*args)
-    except Exception as exc:
-        return type(exc), str(exc)
 
 
 DATES = [
