@@ -13,9 +13,11 @@ does, makes one warm-up pass and ``PASSES`` timed passes over every URI
 (``normalize_uri``, ``gather_evidence``, ``aggregate``, ``render_report``),
 and checks each estimate against the world's identity.
 
-Each round prints both trees' URI/s and p99 latency; the end prints the
-medians, the ratio B/A and how many rounds B won. The exit code is 1 when
-a child fails or any estimate is wrong.
+A child also times its ``build_context``, which loads the cassette
+(``load_s``). Each round prints both trees' URI/s, p99 latency and load
+time; the end prints the medians of the three, the ratio B/A and how many
+rounds B won (higher URI/s, lower p99 and ``load_s``). The exit code is 1
+when a child fails or any estimate is wrong.
 """
 
 from __future__ import annotations
@@ -42,7 +44,9 @@ def child(src: str, world_dir: Path) -> dict:
     from carbondate.sources import gather_evidence
 
     config = ServiceConfig(mode="replay", cassette_path=str(world_dir / "cassette.jsonl"))
+    t0 = perf_counter()
     ctx = build_context(config)
+    load_s = perf_counter() - t0
     items = json.loads((world_dir / "items.json").read_text())
 
     def one(raw: str, expected) -> bool:
@@ -65,6 +69,7 @@ def child(src: str, world_dir: Path) -> dict:
     return {
         "uris_per_s": len(latencies) / busy,
         "p99_ms": statistics.quantiles(latencies, n=100, method="inclusive")[98] * 1000.0,
+        "load_s": load_s,
         "wrong": wrong,
     }
 
@@ -114,12 +119,14 @@ def main(argv=None) -> int:
             a, b = runs["A"][-1], runs["B"][-1]
             print(
                 f"round {r + 1:2}: A {a['uris_per_s']:8.0f} uri/s p99 {a['p99_ms']:6.3f} ms"
-                f" | B {b['uris_per_s']:8.0f} uri/s p99 {b['p99_ms']:6.3f} ms"
+                f" load {a['load_s']:6.3f} s | B {b['uris_per_s']:8.0f} uri/s"
+                f" p99 {b['p99_ms']:6.3f} ms load {b['load_s']:6.3f} s"
             )
 
     for metric, unit, b_wins in (
         ("uris_per_s", "uri/s", lambda a, b: b > a),
         ("p99_ms", "ms", lambda a, b: b < a),
+        ("load_s", "s", lambda a, b: b < a),
     ):
         a_vals = [x[metric] for x in runs["A"]]
         b_vals = [x[metric] for x in runs["B"]]

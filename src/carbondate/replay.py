@@ -70,43 +70,130 @@ class Interaction:
     def from_json(cls, obj: dict) -> "Interaction":
         """The interaction a cassette line holds; ValueError unless its
         types are the ones HttpResponse promises."""
-        method, url, status, headers, body = _entry_fields(obj)
-        return cls(method, url, HttpResponse(status, dict(headers), body))
+        return _EntryReader(()).read(obj)[1]
 
 
-def _entry_fields(obj: dict) -> tuple[str, str, int, dict[str, str], str]:
-    """Method, URL, status, headers and body of a cassette line, checked.
+_new = object.__new__
+# The frozen dataclasses' __init__ sets each field through
+# object.__setattr__; their slot descriptors set it at half the cost.
+_set_status, _set_headers, _set_body = (
+    HttpResponse.__dict__[name].__set__ for name in ("status", "headers", "body")
+)
+_set_method, _set_url, _set_response = (
+    Interaction.__dict__[name].__set__ for name in ("method", "url", "response")
+)
+_NO_HEADERS: dict[str, str] = {}
 
-    The method comes back upper-cased and interned, so all entries share
-    one string per method; the headers map is obj's own.
+
+class _EntryReader:
+    """Checks cassette lines and builds the interactions they hold and
+    their keys.
+
+    Lines repeat a few methods and header maps, so each distinct one is
+    checked and converted once: a method upper-cased and interned, a map
+    type-checked and stripped of the volatile headers. Maps that keep the
+    same headers share one map.
     """
-    req, resp = obj["request"], obj["response"]
-    status = resp["status"]
-    # Exactly an int: "200" or 200.9 is a malformed line, not a 200.
-    if type(status) is not int or not 100 <= status <= 599:
-        raise ValueError(f"status code is not an integer in 100-599: {status!r}")
-    method, url = req["method"], req["url"]
-    headers = resp.get("headers", {})
-    # dict() would turn a list of pairs into a map; a line must hold one.
-    if type(headers) is not dict:
-        raise ValueError(f"headers are not a JSON object: {headers!r}")
-    body = resp.get("body", "")
-    for value in (method, url, body, *headers.values()):
-        if type(value) is not str:
-            raise ValueError(f"not a string: {value!r}")
-    return sys.intern(_upper(method)), url, status, headers, body
+
+    __slots__ = ("volatile", "methods", "maps", "kept", "origin")
+
+    def __init__(self, volatile: tuple[str, ...]):
+        self.volatile = volatile
+        self.methods: dict[str, str] = {}
+        # Keyed by the items of maps that passed the check. No JSON value
+        # other than a str equals a str, so a tuple equal to such a key holds
+        # strings only and a hit needs no check.
+        self.maps: dict[tuple, dict[str, str]] = {}
+        self.kept: dict[tuple, dict[str, str]] = {}
+        # Scheme, host and "/" of the last canonical URL; a space matches
+        # no URL canonical() gets that far with.
+        self.origin = " "
+
+    def read(self, obj: dict) -> tuple[tuple[str, str], Interaction]:
+        """The entry's match_key and its interaction."""
+        req, resp = obj["request"], obj["response"]
+        status = resp["status"]
+        # Exactly an int: "200" or 200.9 is a malformed line, not a 200.
+        if type(status) is not int or not 100 <= status <= 599:
+            raise ValueError(f"status code is not an integer in 100-599: {status!r}")
+        headers = resp.get("headers", _NO_HEADERS)
+        try:
+            headers = self.maps[tuple(headers.items())]
+        except (KeyError, AttributeError, TypeError):
+            headers = self._headers(headers)
+        method = req["method"]
+        try:
+            method = self.methods[method]
+        except (KeyError, TypeError):
+            method = self._method(method)
+        url, body = req["url"], resp.get("body", "")
+        if type(url) is not str:
+            raise ValueError(f"not a string: {url!r}")
+        if type(body) is not str:
+            raise ValueError(f"not a string: {body!r}")
+        response = _new(HttpResponse)
+        _set_status(response, status)
+        _set_headers(response, headers)
+        _set_body(response, body)
+        interaction = _new(Interaction)
+        _set_method(interaction, method)
+        _set_url(interaction, url)
+        _set_response(interaction, response)
+        # The method is upper-case already, so a canonical URL is its own key.
+        return (method, url) if self.canonical(url) else match_key(method, url), interaction
+
+    def canonical(self, url: str) -> bool:
+        """Whether _CANONICAL_URL fully matches url. Lines of one host tend
+        to follow each other, so the scheme and host are matched only when
+        they differ from the last canonical URL's."""
+        # Where the pattern matches, the first "/" from index 8 on ends the
+        # host: "https://" is 8 characters and a host is never empty. str.split
+        # and the pattern's \s count the same characters as whitespace.
+        end = url.find("/", 8)
+        if end < 0 or "?" in url or "#" in url or url.split(None, 1)[0] != url:
+            return False
+        if url.startswith(self.origin):
+            return True
+        if not _CANONICAL_ORIGIN.fullmatch(url, 0, end):
+            return False
+        self.origin = url[: end + 1]
+        return True
+
+    def _headers(self, headers) -> dict[str, str]:
+        # dict() would turn a list of pairs into a map; a line must hold one.
+        if type(headers) is not dict:
+            raise ValueError(f"headers are not a JSON object: {headers!r}")
+        for value in headers.values():
+            if type(value) is not str:
+                raise ValueError(f"not a string: {value!r}")
+        volatile = self.volatile
+        kept = {k: v for k, v in headers.items() if k.lower() not in volatile}
+        kept = self.kept.setdefault(tuple(kept.items()), kept)
+        self.maps[tuple(headers.items())] = kept
+        return kept
+
+    def _method(self, method) -> str:
+        if type(method) is not str:
+            raise ValueError(f"not a string: {method!r}")
+        upper = self.methods[method] = sys.intern(_upper(method))
+        return upper
 
 
 # A URL urlsplit/urlunsplit would return unchanged: lowercase scheme and a
 # non-empty lowercase host, a path, and no query or fragment.
-_CANONICAL_URL = re.compile(r"https?://[a-z0-9.-]+(?::[0-9]*)?/[^?#\s]*")
+_ORIGIN = r"https?://[a-z0-9.-]+(?::[0-9]*)?"
+_CANONICAL_URL = re.compile(rf"{_ORIGIN}/[^?#\s]*")
+_CANONICAL_ORIGIN = re.compile(_ORIGIN)
 # The same, then key=value pairs that parse_qsl/urlencode would write back
 # unchanged: keys of unreserved characters; values of unreserved characters,
 # "+", and uppercase %XX escapes of the ASCII bytes that are neither
-# unreserved nor space, which urlencode escapes again the same way.
+# unreserved nor space, which urlencode escapes again the same way. A value
+# is written as runs of plain characters between escapes, which the regex
+# engine scans faster than one alternation per character.
+_VALUE_CHARS = r"[A-Za-z0-9._~+-]*"
 _QUERY_PAIR = (
-    r"[A-Za-z0-9._~-]+=(?:[A-Za-z0-9._~+-]"
-    r"|%(?:[01][0-9A-F]|2[1-9A-CF]|3[A-F]|[46]0|5[B-E]|7[B-DF]))*"
+    rf"[A-Za-z0-9._~-]+={_VALUE_CHARS}"
+    rf"(?:%(?:[01][0-9A-F]|2[1-9A-CF]|3[A-F]|[46]0|5[B-E]|7[B-DF]){_VALUE_CHARS})*"
 )
 _CANONICAL_QUERY_URL = re.compile(
     rf"({_CANONICAL_URL.pattern})\?({_QUERY_PAIR}(?:&{_QUERY_PAIR})*)"
@@ -116,6 +203,8 @@ _CANONICAL_QUERY_URL = re.compile(
 def _sorted_query(query: str) -> Optional[str]:
     """The query with its pairs sorted by key, or None if a key repeats
     (urllib would then order those pairs by their decoded values)."""
+    if "&" not in query:
+        return query
     pairs = sorted(pair.split("=", 1) for pair in query.split("&"))
     for before, after in zip(pairs, pairs[1:]):
         if before[0] == after[0]:
@@ -134,10 +223,12 @@ def match_key(method: str, url: str) -> tuple[str, str]:
     """Canonical lookup key: upper method + URL with lowercased scheme/host
     and sorted query parameters."""
     method = _upper(method)
-    if _CANONICAL_URL.fullmatch(url):
-        return method, url
-    m = _CANONICAL_QUERY_URL.fullmatch(url)
-    if m:
+    # Only a URL with a "?" can match _CANONICAL_QUERY_URL, and no such URL
+    # matches _CANONICAL_URL.
+    if "?" not in url:
+        if _CANONICAL_URL.fullmatch(url):
+            return method, url
+    elif m := _CANONICAL_QUERY_URL.fullmatch(url):
         query = _sorted_query(m[2])
         if query is not None:
             return method, f"{m[1]}?{query}"
@@ -215,6 +306,9 @@ class Cassette:
 
     @classmethod
     def load(cls, path: str) -> "Cassette":
+        """The cassette saved at path, read a line at a time: holding the
+        whole file would add its size to the peak memory of the load.
+        ValueError for a file that is not one."""
         # Nothing built here can form a cycle, so the collector would only
         # rescan the growing entry table.
         gc_enabled = gc.isenabled()
@@ -240,19 +334,13 @@ class Cassette:
                     recorded_at=parse_iso_timestamp(header["recorded_at"]),
                     volatile_headers=tuple(h.lower() for h in volatile),
                 )
-                # add()'s rules, with one map kept per distinct header map,
-                # chosen before the entry is built.
+                # add()'s rule: the first line of a key wins.
                 entries = cassette.entries
-                maps: dict[tuple, dict[str, str]] = {}
+                read = _EntryReader(cassette.volatile_headers).read
                 for obj in objects:
-                    method, url, status, headers, body = _entry_fields(obj)
-                    key = match_key(method, url)
+                    key, entry = read(obj)
                     if key not in entries:
-                        headers = cassette._kept(headers)
-                        headers = maps.setdefault(tuple(headers.items()), headers)
-                        entries[key] = Interaction(
-                            method, url, HttpResponse(status, headers, body)
-                        )
+                        entries[key] = entry
         except (AttributeError, KeyError, TypeError, OverflowError,
                 RecursionError) as exc:
             raise ValueError(f"malformed cassette {path}: {exc!r}") from exc
@@ -272,6 +360,16 @@ def _json_lines(f) -> Iterator:
     status, header value or body, so the load rejects either reading.
     """
     for raw in f:
+        # A line without "\r" is one line to json too, and its trailing
+        # newline is JSON whitespace.
+        if b"\r" not in raw:
+            try:
+                obj = orjson.loads(raw)
+            except orjson.JSONDecodeError:
+                pass
+            else:
+                yield obj
+                continue
         for line in raw.splitlines():
             if not line.strip():
                 continue
@@ -330,20 +428,57 @@ class RecordingTransport:
             self.sink.save(path)
 
 
+# The most body bytes LiveTransport reads of one response, after any
+# content decoding. A longer body fails the request, so a probe reports an
+# error instead of parsing a truncated document.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+_CHUNK_BYTES = 64 * 1024
+
+
+def _read_body(resp, **kwargs) -> None:
+    """requests response hook: read the body, at most MAX_BODY_BYTES of it.
+
+    requests calls it on every response, including each redirect it
+    follows, before it would read that body in full itself.
+    """
+    chunks, size = [], 0
+    for chunk in resp.iter_content(_CHUNK_BYTES):
+        size += len(chunk)
+        if size > MAX_BODY_BYTES:
+            resp.close()
+            raise ValueError(f"body of {resp.url} exceeds {MAX_BODY_BYTES} bytes")
+        chunks.append(chunk)
+    # .content and .text read _content, which a streamed response leaves unset.
+    resp._content = b"".join(chunks)
+
+
 class LiveTransport:
-    """Real HTTP via requests. Only used outside of tests."""
+    """Real HTTP via requests.
+
+    Each thread keeps one requests.Session, so the requests it sends reuse
+    open connections; probes run on a pool of threads, and a Session is
+    not meant to be shared between them.
+    """
 
     def __init__(self, timeout_s: float = 10.0):
         self.timeout_s = timeout_s
+        self._local = threading.local()
+
+    def _session(self):
+        session = getattr(self._local, "session", None)
+        if session is None:
+            import requests
+
+            session = self._local.session = requests.Session()
+        return session
 
     def request(self, method: str, url: str) -> HttpResponse:
-        import requests
-
-        resp = requests.request(
-            method, url, timeout=self.timeout_s, allow_redirects=True
-        )
-        return HttpResponse(
-            status=resp.status_code,
-            headers=dict(resp.headers),
-            body=resp.text,
-        )
+        with self._session().request(
+            method, url, timeout=self.timeout_s, allow_redirects=True, stream=True,
+            hooks={"response": _read_body},
+        ) as resp:
+            return HttpResponse(
+                status=resp.status_code,
+                headers=dict(resp.headers),
+                body=resp.text,
+            )

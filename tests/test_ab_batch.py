@@ -20,7 +20,7 @@ def test_tree_against_itself():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == [
-        "round  1", "round  2", "median uris_per_s", "median p99_ms",
+        "round  1", "round  2", "median uris_per_s", "median p99_ms", "median load_s",
     ]
     for line in lines[2:]:
         assert re.search(r"B better in [0-2]/2 rounds$", line)

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import gc
+import http.server
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from urllib.parse import parse_qsl, urlencode, urlsplit, urlunsplit
 
@@ -12,15 +14,27 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from carbondate.core import parse_iso_timestamp
+import carbondate.replay as replay
+import carbondate.timemaps as timemaps
+from carbondate.core import PlausibilityWindow, normalize_uri, parse_iso_timestamp
 from carbondate.replay import (
+    _CANONICAL_URL,
     Cassette,
     HttpResponse,
     Interaction,
+    LiveTransport,
     RecordingTransport,
     ReplayTransport,
     UnmatchedInteraction,
+    _EntryReader,
     match_key,
+)
+from carbondate.sources import (
+    FLAG_PARTIAL_FETCH,
+    Endpoints,
+    SourceContext,
+    query_archives,
+    query_backlinks,
 )
 
 NOW = parse_iso_timestamp("2013-03-01T00:00:00")
@@ -387,37 +401,49 @@ def mostly(strategy):
     return st.sampled_from([strategy] * 7 + [ANY_JSON]).flatmap(lambda chosen: chosen)
 
 
+WELL_FORMED_HEADER = st.fixed_dictionaries(
+    {"version": st.just(1), "recorded_at": st.just("2013-03-01T00:00:00")},
+    optional={"volatile_headers": st.lists(st.sampled_from(["Date", "x-a"]))},
+)
 HEADER_OBJECTS = mostly(st.fixed_dictionaries(
     {"version": mostly(st.just(1)), "recorded_at": mostly(st.just("2013-03-01T00:00:00"))},
     optional={"volatile_headers": mostly(st.lists(st.sampled_from(["Date", "x-a"])))},
 ))
-ENTRY_OBJECTS = mostly(st.fixed_dictionaries({
-    "request": mostly(st.fixed_dictionaries({
-        "method": mostly(st.sampled_from(["GET", "head"])),
-        "url": mostly(st.sampled_from(
-            ["http://e.com/", "http://E.com/?b=1&a=2", "http://e.com/?a=1&b=2"]
+METHODS = st.sampled_from(["GET", "get", "Get", "head"])
+ENTRY_URLS = st.sampled_from(["http://e.com/", "http://E.com/?b=1&a=2", "http://e.com/?a=1&b=2"])
+HEADER_KEYS = st.sampled_from(["Date", "ETag", "X-A", "x-a"])
+# Header maps from few keys and values, in any key order. "1", 1 and true
+# can fill one key: only "1" is a header value, and 1 and true compare
+# equal, as do the maps holding them.
+HEADER_MAPS = st.lists(
+    st.tuples(HEADER_KEYS, mostly(st.sampled_from(["1", 1, True, "", "ab"]))), max_size=3,
+).map(dict)
+WELL_FORMED_MAPS = st.lists(
+    st.tuples(HEADER_KEYS, st.sampled_from(["1", "", "ab"])), max_size=3,
+).map(dict)
+
+
+def entry_objects(wrap, methods, urls, statuses, maps):
+    """Entry objects whose method, URL, status and header map come from
+    pools, so that lines repeat them; wrap may make any part malformed."""
+    return wrap(st.fixed_dictionaries({
+        "request": wrap(st.fixed_dictionaries({
+            "method": st.sampled_from(methods), "url": st.sampled_from(urls),
+        })),
+        "response": wrap(st.fixed_dictionaries(
+            {"status": st.sampled_from(statuses)},
+            optional={"headers": st.sampled_from(maps), "body": wrap(st.text(max_size=5))},
         )),
-    })),
-    "response": mostly(st.fixed_dictionaries(
-        {"status": mostly(st.sampled_from([200, 404, 301, "200", 200.5, 99, 700, float("inf")]))},
-        optional={
-            "headers": mostly(st.dictionaries(
-                st.sampled_from(["Date", "ETag", "X-A", "x-a"]), mostly(st.text(max_size=3)),
-                max_size=3,
-            )),
-            "body": mostly(st.text(max_size=5)),
-        },
-    )),
-}))
+    }))
 
 
 @st.composite
-def json_lines(draw, objects):
+def json_lines(draw, objects, faults=True):
     """One line: JSON text of an object, possibly with a duplicate key,
     truncated, holding a byte that is not UTF-8, or blank."""
     text = json.dumps(draw(objects), ensure_ascii=draw(st.sampled_from([True] * 3 + [False])))
     how = draw(st.sampled_from(
-        ["as is"] * 12 + ["duplicate key", "truncated", "bad byte", "blank"]
+        ["as is"] * 12 + (["duplicate key", "truncated", "bad byte"] if faults else []) + ["blank"]
     ))
     if how == "duplicate key" and text.startswith("{") and len(text) > 2:
         extra = '"response": ' + json.dumps(draw(ANY_JSON))
@@ -438,8 +464,31 @@ def json_lines(draw, objects):
 
 @st.composite
 def cassette_files(draw):
-    lines = [draw(json_lines(HEADER_OBJECTS))]
-    lines += draw(st.lists(json_lines(ENTRY_OBJECTS), max_size=5))
+    """A header line, then entry lines that draw methods, URLs, statuses
+    and header maps from pools of up to three, so lines repeat them as
+    cassettes do.
+
+    In half the files any part of any line may be malformed. In the other
+    half only a header map may be: one that repeats a well-formed map's
+    keys with 1 or true for a value. Those files mostly load, so the
+    repeats reach the load's caches.
+    """
+    faults = draw(st.booleans())
+    wrap = mostly if faults else (lambda strategy: strategy)
+
+    def pool(strategy):
+        return draw(st.lists(wrap(strategy), min_size=1, max_size=3))
+
+    statuses = [200, 404, 301] + (["200", 200.5, 99, 700, float("inf")] if faults else [])
+    maps = pool(HEADER_MAPS if faults else WELL_FORMED_MAPS)
+    if not faults and maps[0] and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(maps[0])))
+        maps.append({**maps[0], key: draw(st.sampled_from([1, True]))})
+    entries = entry_objects(
+        wrap, pool(METHODS), pool(ENTRY_URLS), pool(st.sampled_from(statuses)), maps
+    )
+    lines = [draw(json_lines(HEADER_OBJECTS if faults else WELL_FORMED_HEADER, faults))]
+    lines += draw(st.lists(json_lines(entries, faults), max_size=6))
     return b"".join(line + draw(st.sampled_from([b"\n", b"\r\n", b"\r"])) for line in lines)
 
 
@@ -472,6 +521,15 @@ class TestCassetteLoadRobustness:
         finally:
             (gc.enable if was_enabled else gc.disable)()
         assert got == expected
+
+    @pytest.mark.parametrize("cut", [b"\r", b"\r\n"])
+    def test_carriage_return_ends_a_line(self, tmp_path, cut):
+        # Read as text, the file holds two lines, neither of them JSON,
+        # though orjson would read the bytes as one object.
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b'{"version": 1,' + cut + b' "recorded_at": "2013-03-01T00:00:00"}\n')
+        assert load_outcome(reference_load, str(path)) is ValueError
+        assert load_outcome(Cassette.load, str(path)) is ValueError
 
     @pytest.mark.parametrize("field, value", [
         ("body", float("nan")),
@@ -533,3 +591,260 @@ class TestCompactLayout:
         c.add(interaction(headers=headers))
         assert headers == {"Date": "whenever", "X-Keep": "yes"}
         assert c.lookup("HEAD", "http://example.com/").response.headers == {"X-Keep": "yes"}
+
+
+def write_entries(path, *entries, volatile=None):
+    """A cassette file of the given entry objects, one per line."""
+    header = {"version": 1, "recorded_at": "2013-03-01T00:00:00"}
+    if volatile is not None:
+        header["volatile_headers"] = volatile
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in (header, *entries)))
+
+
+def entry(url, headers=None, method="GET"):
+    return interaction(method=method, url=url, headers=headers).to_json()
+
+
+class TestLoadCaches:
+    """Cassette.load checks each distinct method and header map once."""
+
+    def test_maps_apart_only_in_volatile_values_share_one_kept_map(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_entries(
+            path,
+            entry("http://e.com/1", {"Date": "Mon, 01 Jan 2001", "X-Keep": "1"}),
+            entry("http://e.com/2", {"Date": "Tue, 02 Jan 2001", "X-Keep": "1"}),
+            entry("http://e.com/3", {"X-Keep": "1", "ETag": "abc"}),
+            volatile=["Date", "ETag"],
+        )
+        maps = [e.response.headers for e in Cassette.load(str(path)).entries.values()]
+        assert maps == [{"X-Keep": "1"}] * 3
+        assert maps[0] is maps[1] is maps[2]
+
+    @pytest.mark.parametrize("value", [1, True, None, 1.0, ["1"], {"1": "1"}])
+    def test_accepted_map_keys_with_a_value_not_a_string(self, tmp_path, value):
+        path = tmp_path / "c.jsonl"
+        write_entries(
+            path,
+            entry("http://e.com/1", {"X-A": "1"}),
+            entry("http://e.com/2", {"X-A": value}),
+        )
+        with pytest.raises(ValueError, match="not a string"):
+            Cassette.load(str(path))
+
+    def test_maps_apart_only_in_key_order_stay_apart(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_entries(
+            path,
+            entry("http://e.com/1", {"A": "1", "B": "2"}),
+            entry("http://e.com/2", {"B": "2", "A": "1"}),
+        )
+        maps = [e.response.headers for e in Cassette.load(str(path)).entries.values()]
+        assert [list(m) for m in maps] == [["A", "B"], ["B", "A"]]
+
+    def test_methods_in_any_case_share_one_string(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_entries(
+            path,
+            *(entry(f"http://e.com/{m}", method=m) for m in ("get", "GET", "Get")),
+            entry("http://e.com/GET", method="get"),
+        )
+        loaded = Cassette.load(str(path))
+        assert [e.url for e in loaded.entries.values()] == [
+            "http://e.com/get", "http://e.com/GET", "http://e.com/Get",
+        ]
+        methods = [e.method for e in loaded.entries.values()]
+        methods += [method for method, _ in loaded.entries]
+        assert methods == ["GET"] * 6
+        assert len({id(m) for m in methods}) == 1
+
+    def test_from_json_copies_the_callers_headers(self):
+        obj = entry("http://e.com/", {"Date": "whenever"})
+        loaded = Interaction.from_json(obj)
+        assert loaded == interaction(method="GET", url="http://e.com/",
+                                     headers={"Date": "whenever"})
+        assert loaded.response.headers is not obj["response"]["headers"]
+
+
+# Near-canonical URLs: ports, case, empty hosts, and "?", "#", whitespace
+# and other characters in the path.
+URL_NEAR_CANONICAL = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(["http://", "https://", "HTTP://", "http:/", "ftp://", ""]),
+        st.sampled_from(["e.com", "E.com", "a-b.c", "", "e.com:80", "e.com:", "e.com:x", "é.com"]),
+        st.sampled_from(["/", "", "/a", "?a", "#a"]),
+        st.lists(
+            st.sampled_from(["/b", "?", "#", "\x1c", "\u3000", " ", "\t", "\x00", "é", "%20"]),
+            max_size=3,
+        ).map("".join),
+    ),
+)
+
+
+class TestCanonicalTest:
+    @settings(max_examples=300, deadline=None)
+    @given(urls=st.lists(st.one_of(URL_NEAR_CANONICAL, URLS), max_size=6))
+    @example(urls=[
+        "http://e.com/a", "http://e.com/a\x1cb", "http://e.com/a\u3000", "http://e.com/a?b",
+        "http://e.com/a#b", "http://e.com:8080/a", "http://e.com:/a", "http://E.com/a",
+        "https://e.com/", "http://e.com", "http:///a/b", "http://e.com:x/", "http://e.com /",
+    ])
+    @example(urls=["http://e.com/a", "http://e.com:x/a", "http://e.com.b/a", "http://e.comé/a"])
+    def test_agrees_with_the_pattern(self, urls):
+        reader = _EntryReader(())  # one reader for every URL, as in a load
+        for url in urls:
+            assert reader.canonical(url) == (_CANONICAL_URL.fullmatch(url) is not None)
+
+
+class _Upstream(http.server.BaseHTTPRequestHandler):
+    """Serves server.bodies by path, and server.redirects as 302s to a
+    location with a body, over keep-alive connections; notes each
+    connection in server.connections."""
+
+    protocol_version = "HTTP/1.1"
+    timeout = 5
+
+    def setup(self):
+        super().setup()
+        self.server.connections.append(self.client_address)
+
+    def do_GET(self):
+        if self.path in self.server.redirects:
+            location, body = self.server.redirects[self.path]
+            self.send_response(302)
+            self.send_header("Location", location)
+        else:
+            body = self.server.bodies.get(self.path)
+            self.send_response(404 if body is None else 200)
+            body = body or b""
+        self.send_header("Content-Type", "text/html; charset=utf-8")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, format, *args):
+        pass
+
+
+class _UpstreamServer(http.server.ThreadingHTTPServer):
+    block_on_close = False  # a client may keep its connection open
+
+    def handle_error(self, request, client_address):
+        pass  # a client that stops reading a body resets its connection
+
+
+@pytest.fixture
+def upstream():
+    server = _UpstreamServer(("127.0.0.1", 0), _Upstream)
+    server.connections = []
+    server.bodies = {}
+    server.redirects = {}
+    server.base = f"http://127.0.0.1:{server.server_port}"
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+class TestLiveTransport:
+    def test_requests_on_one_thread_share_a_connection(self, upstream):
+        upstream.bodies.update({"/a": b"one", "/b": b"two", "/c": "thr\u00e9e".encode()})
+        transport = LiveTransport(timeout_s=5)
+        got = [transport.request("GET", upstream.base + p) for p in ("/a", "/b", "/c")]
+        assert [(r.status, r.body) for r in got] == [(200, "one"), (200, "two"), (200, "thr\u00e9e")]
+        assert len(upstream.connections) == 1
+
+    def test_each_thread_opens_its_own_connection(self, upstream):
+        upstream.bodies["/a"] = b"one"
+        transport = LiveTransport(timeout_s=5)
+        for _ in range(2):
+            thread = threading.Thread(
+                target=lambda: [transport.request("GET", upstream.base + "/a") for _ in range(2)]
+            )
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert len(upstream.connections) == 2
+
+    def test_body_over_the_cap_fails(self, upstream, monkeypatch):
+        monkeypatch.setattr(replay, "MAX_BODY_BYTES", 100)
+        upstream.bodies.update({
+            "/fits": b"x" * 100, "/over": b"x" * 101, "/far-over": b"x" * 300_000,
+        })
+        transport = LiveTransport(timeout_s=5)
+        assert transport.request("GET", upstream.base + "/fits").body == "x" * 100
+        for path in ("/over", "/far-over"):
+            with pytest.raises(ValueError, match="exceeds 100 bytes"):
+                transport.request("GET", upstream.base + path)
+            # A body left unread does not spoil the next request.
+            assert transport.request("GET", upstream.base + "/fits").body == "x" * 100
+
+    def test_redirect_body_over_the_cap_fails(self, upstream, monkeypatch):
+        monkeypatch.setattr(replay, "MAX_BODY_BYTES", 100)
+        upstream.bodies["/fits"] = b"x" * 100
+        upstream.redirects.update({
+            "/moved": ("/fits", b"y" * 100), "/moved-far": ("/fits", b"y" * 300_000),
+        })
+        transport = LiveTransport(timeout_s=5)
+        assert transport.request("GET", upstream.base + "/moved").body == "x" * 100
+        with pytest.raises(ValueError, match="exceeds 100 bytes"):
+            transport.request("GET", upstream.base + "/moved-far")
+
+    def context(self, upstream):
+        return SourceContext(
+            transport=LiveTransport(timeout_s=5),
+            window=PlausibilityWindow(now=NOW),
+            endpoints=Endpoints(
+                timemap_base=upstream.base + "/timemap/",
+                index_base=upstream.base + "/v1",
+            ),
+        )
+
+    @pytest.mark.parametrize("cap, status", [(1000, "ok"), (100, "error")])
+    def test_oversized_timemap_is_an_archives_error(self, upstream, monkeypatch, cap, status):
+        monkeypatch.setattr(replay, "MAX_BODY_BYTES", cap)
+        upstream.bodies["/timemap/http://example.com/"] = (
+            '<http://example.com/>;rel="original",\n'
+            '<http://archive.example.org/web/20100101000000/http://example.com/>;'
+            'rel="memento";datetime="Fri, 01 Jan 2010 00:00:00 GMT"'
+        ).encode()
+        result = query_archives(normalize_uri("http://example.com/"), self.context(upstream))
+        assert result.status == status
+        if status == "error":
+            assert "exceeds 100 bytes" in result.error
+
+    @pytest.mark.parametrize("cap, status, searched", [(1000, "ok", 1), (500, "empty", 0)])
+    def test_oversized_capture_never_reaches_the_link_search(
+        self, upstream, monkeypatch, cap, status, searched
+    ):
+        monkeypatch.setattr(replay, "MAX_BODY_BYTES", cap)
+        bodies = []
+        real = timemaps.contains_link
+
+        def contains_link(body, *args, **kwargs):
+            bodies.append(body)
+            return real(body, *args, **kwargs)
+
+        monkeypatch.setattr(timemaps, "contains_link", contains_link)
+        page = "http://blog.example.net/post"
+        capture = f"{upstream.base}/web/20100101000000/{page}"
+        upstream.bodies.update({
+            "/v1/backlinks?uri=http%3A%2F%2Fexample.com%2F":
+                json.dumps({"backlinks": [page]}).encode(),
+            f"/timemap/{page}": (
+                f'<{page}>;rel="original",\n'
+                f'<{capture}>;rel="memento";datetime="Fri, 01 Jan 2010 00:00:00 GMT"'
+            ).encode(),
+            "/web/20100101000000/" + page:
+                b'<a href="http://example.com/">x</a>' + b" " * 600,
+        })
+        result = query_backlinks(normalize_uri("http://example.com/"), self.context(upstream))
+        assert result.status == status
+        assert len(bodies) == searched
+        assert (FLAG_PARTIAL_FETCH in result.flags) == (searched == 0)
