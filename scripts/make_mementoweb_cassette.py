@@ -2,20 +2,23 @@
 """Build the shipped replay cassette for http://www.mementoweb.org.
 
 The recorded values mirror the service's published sample response for
-that URI. Regenerate with:
+that URI. Run with:
 
-    python3 scripts/make_mementoweb_cassette.py fixtures/mementoweb.jsonl
+    PYTHONPATH=src python3 scripts/make_mementoweb_cassette.py OUT.jsonl
+
+The committed fixtures/mementoweb.jsonl has the same entries in an older
+request layout; it is not to be regenerated (see README).
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
 from carbondate.core import parse_iso_timestamp, render_http_date
-from carbondate.replay import Cassette, HttpResponse, Interaction
+from carbondate.replay import Cassette
 from carbondate.sources import Endpoints
+from carbondate.synth import put
 
 URI = "http://www.mementoweb.org/"
 DISPLAY_URI = "http://www.mementoweb.org"
@@ -52,53 +55,20 @@ def wayback_uri(iso: str, original: str) -> str:
     return f"http://web.archive.org/web/{ts}/{original}"
 
 
-def json_response(obj) -> HttpResponse:
-    return HttpResponse(
-        status=200,
-        headers={"Content-Type": "application/json"},
-        body=json.dumps(obj),
-    )
-
-
 def build() -> Cassette:
     endpoints = Endpoints()
     cassette = Cassette(recorded_at=parse_iso_timestamp(RECORDED_AT))
 
-    def add(method: str, url: str, response: HttpResponse) -> None:
-        cassette.add(Interaction(method=method, url=url, response=response))
+    last_modified = render_http_date(parse_iso_timestamp("2012-04-20T21:52:07"))
+    put(cassette, URI, "", "text/html; charset=UTF-8", method="HEAD",
+        headers={"Last-Modified": last_modified, "Server": "Apache"})
+    archive_caps = [(cu, iso) for _, iso, cu in ARCHIVE_CAPTURES]
+    put(cassette, endpoints.timemap_url(URI), link_body(URI, archive_caps),
+        "application/link-format")
 
-    add(
-        "HEAD",
-        URI,
-        HttpResponse(
-            status=200,
-            headers={
-                "Content-Type": "text/html; charset=UTF-8",
-                "Last-Modified": render_http_date(
-                    parse_iso_timestamp("2012-04-20T21:52:07")
-                ),
-                "Server": "Apache",
-            },
-            body="",
-        ),
-    )
-
-    add(
-        "GET",
-        endpoints.timemap_url(URI),
-        HttpResponse(
-            status=200,
-            headers={"Content-Type": "application/link-format"},
-            body=link_body(URI, [(cu, iso) for _, iso, cu in ARCHIVE_CAPTURES]),
-        ),
-    )
-
-    add("GET", endpoints.shortener_lookup_url(URI), json_response({"id": "lM9Ah"}))
-    add(
-        "GET",
-        endpoints.shortener_info_url("lM9Ah"),
-        json_response({"created_at": "2011-03-24T10:44:12"}),
-    )
+    put(cassette, endpoints.shortener_lookup_url(URI), {"id": "lM9Ah"})
+    put(cassette, endpoints.shortener_info_url("lM9Ah"),
+        {"created_at": "2011-03-24T10:44:12"})
 
     posts = [
         {"id": "t564", "posted_at": "2009-11-09T20:53:20"},
@@ -106,33 +76,13 @@ def build() -> Cassette:
         {"id": "t1402", "posted_at": "2010-03-17T15:40:55"},
         {"id": "t2210", "posted_at": "2011-06-08T22:01:33"},
     ]
-    add(
-        "GET",
-        endpoints.social_search_url(URI),
-        json_response({"total": 187, "posts": posts}),
-    )
+    put(cassette, endpoints.social_search_url(URI), {"total": 187, "posts": posts})
+    put(cassette, endpoints.crawl_url(URI), {"crawl_date": "2009-11-16"})
 
-    add(
-        "GET",
-        endpoints.crawl_url(URI),
-        json_response({"crawl_date": "2009-11-16"}),
-    )
-
-    add(
-        "GET",
-        endpoints.backlinks_url(URI),
-        json_response({"backlinks": [BACKLINK]}),
-    )
+    put(cassette, endpoints.backlinks_url(URI), {"backlinks": [BACKLINK]})
     backlink_caps = [(wayback_uri(iso, BACKLINK), iso) for iso, _ in BACKLINK_CAPTURES]
-    add(
-        "GET",
-        endpoints.timemap_url("http://www.cs.odu.edu/"),
-        HttpResponse(
-            status=200,
-            headers={"Content-Type": "application/link-format"},
-            body=link_body(BACKLINK, backlink_caps),
-        ),
-    )
+    put(cassette, endpoints.timemap_url(BACKLINK), link_body(BACKLINK, backlink_caps),
+        "application/link-format")
     for iso, has_link in BACKLINK_CAPTURES:
         ts = iso.replace("-", "").replace("T", "").replace(":", "")
         if has_link:
@@ -140,11 +90,7 @@ def build() -> Cassette:
         else:
             anchor = ""
         body = f"<html><body><h1>Department news</h1>{anchor}</body></html>"
-        add(
-            "GET",
-            wayback_uri(iso, BACKLINK),
-            HttpResponse(status=200, headers={"Content-Type": "text/html"}, body=body),
-        )
+        put(cassette, wayback_uri(iso, BACKLINK), body, "text/html")
 
     return cassette
 

@@ -106,10 +106,14 @@ def main(argv=None) -> int:
         return _run_batch(args)
     if args.command == "make-world":
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        world, cassette = generate_world(seed=args.seed, n=args.n)
-        world.save(str(out / "world.json"))
-        cassette.save(str(out / "cassette.jsonl"))
+        try:
+            world, cassette = generate_world(seed=args.seed, n=args.n)
+            out.mkdir(parents=True, exist_ok=True)
+            world.save(str(out / "world.json"))
+            cassette.save(str(out / "cassette.jsonl"))
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(f"wrote {out / 'world.json'} and {out / 'cassette.jsonl'}")
         return 0
     return 2
@@ -187,13 +191,13 @@ def eval_main(argv=None) -> int:
         else:
             gold = load_gold(args.gold, ctx.window)
             truths = [(str(g.uri), g.real_date) for g in gold]
-    except (OSError, ValueError) as exc:  # FormatError is a ValueError
+        truths = [(normalize_uri(raw), real) for raw, real in truths]
+    except (OSError, ValueError) as exc:  # FormatError, MalformedUri too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     records = []
-    for raw_uri, real in truths:
-        uri = normalize_uri(raw_uri)
+    for uri, real in truths:
         evidence = gather_evidence(uri, ctx)
         estimates = {e.method: e.estimate for e in evidence}
         records.append(build_record(str(uri), real, estimates))

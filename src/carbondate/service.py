@@ -11,6 +11,7 @@ import json
 import logging
 import time
 from dataclasses import dataclass, field
+from http import HTTPStatus
 from typing import Optional
 from urllib.parse import unquote
 
@@ -39,6 +40,8 @@ class ServiceConfig:
     endpoints: Endpoints = field(default_factory=Endpoints)
 
     def __post_init__(self) -> None:
+        if self.mode not in ("live", "replay", "record"):
+            raise ValueError(f"unknown transport mode: {self.mode!r}")
         if self.timeout_ms <= 0:
             raise ValueError("timeout must be positive")
         if self.parallelism < 1:
@@ -66,19 +69,12 @@ def build_context(config: ServiceConfig) -> SourceContext:
         transport = ReplayTransport(cassette)
         if now is None:
             now = cassette.recorded_at
-    elif config.mode == "record":
-        if now is None:
-            now = int(time.time())
-        sink = Cassette(recorded_at=now)
-        transport = RecordingTransport(
-            LiveTransport(timeout_s=config.timeout_ms / 1000.0), sink
-        )
-    elif config.mode == "live":
+    else:
         transport = LiveTransport(timeout_s=config.timeout_ms / 1000.0)
         if now is None:
             now = int(time.time())
-    else:
-        raise ValueError(f"unknown transport mode: {config.mode!r}")
+        if config.mode == "record":
+            transport = RecordingTransport(transport, Cassette(recorded_at=now))
     return SourceContext(
         transport=transport,
         window=PlausibilityWindow(now=now),
@@ -129,11 +125,8 @@ def make_app(config: ServiceConfig, ctx: Optional[SourceContext] = None):
 
 def _respond(start_response, status: int, body: dict):
     payload = json.dumps(body, indent=2).encode("utf-8")
-    reason = {
-        200: "OK", 400: "Bad Request", 404: "Not Found", 500: "Internal Server Error"
-    }.get(status, "")
     start_response(
-        f"{status} {reason}",
+        f"{status} {HTTPStatus(status).phrase}",
         [
             ("Content-Type", "application/json; charset=UTF-8"),
             ("Content-Length", str(len(payload))),

@@ -122,17 +122,21 @@ class SyntheticWorld:
 
     @classmethod
     def load(cls, path: str) -> "SyntheticWorld":
+        """The world saved at path; ValueError for a file that is not one."""
         with open(path, "r", encoding="utf-8") as f:
             obj = json.load(f)
-        world = cls(seed=obj["seed"], now=parse_iso_timestamp(obj["now"]))
-        for r in obj["resources"]:
-            world.resources.append(
-                ResourceTruth(
-                    uri=r["uri"],
-                    true_creation=parse_iso_timestamp(r["true_creation"]),
-                    lags={m: lag for m, lag in r["lags"].items()},
+        try:
+            world = cls(seed=obj["seed"], now=parse_iso_timestamp(obj["now"]))
+            for r in obj["resources"]:
+                world.resources.append(
+                    ResourceTruth(
+                        uri=r["uri"],
+                        true_creation=parse_iso_timestamp(r["true_creation"]),
+                        lags={m: lag for m, lag in r["lags"].items()},
+                    )
                 )
-            )
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed world {path}: {exc!r}") from exc
         return world
 
 
@@ -140,28 +144,35 @@ def _ts14(t: int) -> str:
     return datetime.fromtimestamp(t, tz=timezone.utc).strftime("%Y%m%d%H%M%S")
 
 
-def _timemap_body(original: str, captures: list[tuple[str, int]]) -> str:
-    """Render a link-format timemap: (capture_uri, datetime) pairs."""
+def _capture_uri(page: str, t: int) -> str:
+    return f"http://archive.example.org/web/{_ts14(t)}/{page}"
+
+
+def _timemap_body(original: str, times: list[int]) -> str:
+    """Render a link-format timemap with one capture of original per time."""
     lines = [f'<{original}>;rel="original"']
-    for i, (capture_uri, t) in enumerate(captures):
-        rel = "memento"
-        if i == 0:
-            rel = "first memento"
-        elif i == len(captures) - 1 and len(captures) > 1:
-            rel = "last memento"
-        lines.append(f'<{capture_uri}>;rel="{rel}";datetime="{render_http_date(t)}"')
+    last = len(times) - 1
+    for i, t in enumerate(times):
+        rel = "first memento" if i == 0 else "last memento" if i == last else "memento"
+        capture = _capture_uri(original, t)
+        lines.append(f'<{capture}>;rel="{rel}";datetime="{render_http_date(t)}"')
     return ",\n".join(lines)
 
 
-def _json_response(obj) -> HttpResponse:
-    return HttpResponse(
-        status=200,
-        headers={"Content-Type": "application/json"},
-        body=json.dumps(obj),
-    )
-
-
-def _add(cassette: Cassette, method: str, url: str, response: HttpResponse) -> None:
+def put(
+    cassette: Cassette,
+    url: str,
+    body,
+    content_type: str = "application/json",
+    *,
+    method: str = "GET",
+    headers: Optional[dict[str, str]] = None,
+) -> None:
+    """Add a 200 answer whose headers start with Content-Type; encode a JSON body."""
+    if content_type == "application/json":
+        body = json.dumps(body)
+    headers = {"Content-Type": content_type, **(headers or {})}
+    response = HttpResponse(status=200, headers=headers, body=body)
     cassette.add(Interaction(method=method, url=url, response=response))
 
 
@@ -198,9 +209,8 @@ def generate_world(
         uri = f"http://site{k:04d}.example.org/page"
         creation = first_day + rng.randrange((last_day - first_day) // DAY) * DAY
         lags = {m: models[m].draw(rng) for m in sorted(models)}
-        world.resources.append(
-            ResourceTruth(uri=uri, true_creation=creation, lags=lags)
-        )
+        truth = ResourceTruth(uri=uri, true_creation=creation, lags=lags)
+        world.resources.append(truth)
         _emit_resource(cassette, endpoints, window, uri, creation, lags, rng, k)
 
     return world, cassette
@@ -220,53 +230,22 @@ def _emit_resource(
 
     lag = lags.get("last_modified")
     if lag is not None:
-        _add(
-            cassette,
-            "HEAD",
-            uri,
-            HttpResponse(
-                status=200,
-                headers={
-                    "Content-Type": "text/html",
-                    "Last-Modified": render_http_date(creation + lag),
-                },
-                body="",
-            ),
-        )
+        last_modified = {"Last-Modified": render_http_date(creation + lag)}
+        put(cassette, uri, "", "text/html", method="HEAD", headers=last_modified)
 
     lag = lags.get("archives")
     if lag is not None:
         first = creation + lag
         times = [first, min(first + 45 * DAY, now), min(first + 170 * DAY, now)]
-        captures = [
-            (f"http://archive.example.org/web/{_ts14(t)}/{uri}", t) for t in times
-        ]
-        _add(
-            cassette,
-            "GET",
-            endpoints.timemap_url(uri),
-            HttpResponse(
-                status=200,
-                headers={"Content-Type": "application/link-format"},
-                body=_timemap_body(uri, captures),
-            ),
-        )
+        put(cassette, endpoints.timemap_url(uri), _timemap_body(uri, times),
+            "application/link-format")
 
     lag = lags.get("shortener")
     if lag is not None:
         short_id = f"s{k:04d}x"
-        _add(
-            cassette,
-            "GET",
-            endpoints.shortener_lookup_url(uri),
-            _json_response({"id": short_id}),
-        )
-        _add(
-            cassette,
-            "GET",
-            endpoints.shortener_info_url(short_id),
-            _json_response({"created_at": render_iso_timestamp(creation + lag)}),
-        )
+        put(cassette, endpoints.shortener_lookup_url(uri), {"id": short_id})
+        put(cassette, endpoints.shortener_info_url(short_id),
+            {"created_at": render_iso_timestamp(creation + lag)})
 
     lag = lags.get("social")
     if lag is not None:
@@ -276,65 +255,26 @@ def _emit_resource(
         for j in range(1, count):
             t = min(first_post + rng.randint(1, 90 * DAY), now)
             posts.append({"id": f"p{k}_{j}", "posted_at": render_iso_timestamp(t)})
-        _add(
-            cassette,
-            "GET",
-            endpoints.social_search_url(uri),
-            _json_response({"total": count, "posts": posts}),
-        )
+        put(cassette, endpoints.social_search_url(uri), {"total": count, "posts": posts})
 
     lag = lags.get("search_index")
     if lag is not None:
         day = truncate_to_day(creation + lag).isoformat()
-        _add(
-            cassette,
-            "GET",
-            endpoints.crawl_url(uri),
-            _json_response({"crawl_date": day}),
-        )
+        put(cassette, endpoints.crawl_url(uri), {"crawl_date": day})
 
     lag = lags.get("backlinks")
     if lag is not None:
         backlink = f"http://links{k:04d}.example.net/blog"
         first_link_t = creation + lag
-        pre_times = [
-            t
-            for t in (first_link_t - 200 * DAY, first_link_t - 90 * DAY)
-            if t >= window.earliest + DAY
-        ]
-        post_times = [first_link_t, min(first_link_t + 60 * DAY, now)]
-        captures: list[tuple[str, int, bool]] = [
-            (f"http://archive.example.org/web/{_ts14(t)}/{backlink}", t, False)
-            for t in pre_times
-        ] + [
-            (f"http://archive.example.org/web/{_ts14(t)}/{backlink}", t, True)
-            for t in post_times
-        ]
-        _add(
-            cassette,
-            "GET",
-            endpoints.backlinks_url(uri),
-            _json_response({"backlinks": [backlink]}),
-        )
-        _add(
-            cassette,
-            "GET",
-            endpoints.timemap_url(backlink),
-            HttpResponse(
-                status=200,
-                headers={"Content-Type": "application/link-format"},
-                body=_timemap_body(backlink, [(cu, t) for cu, t, _ in captures]),
-            ),
-        )
-        for capture_uri, t, has_link in captures:
-            if has_link:
+        pre = (first_link_t - 200 * DAY, first_link_t - 90 * DAY)
+        times = [t for t in pre if t >= window.earliest + DAY]
+        times += [first_link_t, min(first_link_t + 60 * DAY, now)]
+        put(cassette, endpoints.backlinks_url(uri), {"backlinks": [backlink]})
+        put(cassette, endpoints.timemap_url(backlink), _timemap_body(backlink, times),
+            "application/link-format")
+        for t in times:
+            body = "<html><body><p>post</p></body></html>"
+            if t >= first_link_t:
                 href = f"/web/{_ts14(t)}/{uri}"
                 body = f'<html><body><p>post</p><a href="{href}">ref</a></body></html>'
-            else:
-                body = "<html><body><p>post</p></body></html>"
-            _add(
-                cassette,
-                "GET",
-                capture_uri,
-                HttpResponse(status=200, headers={"Content-Type": "text/html"}, body=body),
-            )
+            put(cassette, _capture_uri(backlink, t), body, "text/html")

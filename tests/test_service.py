@@ -20,6 +20,10 @@ from carbondate.replay import Cassette, ReplayTransport
 from carbondate.service import ServiceConfig, build_context, make_app, serve
 from carbondate.synth import generate_world
 
+NOW = "2013-03-01T00:00:00"
+RESOURCE = {"uri": "http://a.example/", "true_creation": "2010-01-01T00:00:00"}
+FTP_RESOURCE = {**RESOURCE, "uri": "ftp://a.example/", "lags": {}}
+
 
 def call(app, path, query=""):
     captured = {}
@@ -53,6 +57,8 @@ class TestServiceConfig:
             ServiceConfig(enabled_methods=frozenset({"archives", "astrology"}))
         with pytest.raises(ValueError):
             ServiceConfig(report_style="xml")
+        with pytest.raises(ValueError):
+            ServiceConfig(mode="bogus")
 
 
 class TestEndpoint:
@@ -95,6 +101,17 @@ class TestEndpoint:
         assert status == 500
         assert headers["Content-Type"].startswith("application/json")
         assert "probe wiring broke" in json.loads(body)["error"]
+
+    @pytest.mark.parametrize("status, line", [
+        (200, "200 OK"),
+        (400, "400 Bad Request"),
+        (404, "404 Not Found"),
+        (500, "500 Internal Server Error"),
+    ])
+    def test_status_line(self, status, line):
+        seen = []
+        service._respond(lambda status_line, headers: seen.append(status_line), status, {})
+        assert seen == [line]
 
     def test_replay_deterministic_byte_identical(self, replay_app):
         first = call(replay_app, "/cd/http://www.mementoweb.org")
@@ -499,6 +516,13 @@ class TestCliInputErrors:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("n, out", [("0", "world"), ("1", "file/world")])
+    def test_make_world_bad_input_is_error_line(self, tmp_path, capsys, n, out):
+        (tmp_path / "file").write_text("")
+        assert main(["make-world", "--n", n, "--out", str(tmp_path / out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "world").exists()
+
 
 class TestEvalCli:
     def test_world_evaluation(self, tmp_path, capsys):
@@ -564,5 +588,21 @@ class TestEvalCli:
         gold = tmp_path / "gold.csv"
         gold.write_text("uri,real_date,category\nhttp://a.example/,1990-01-01,news\n")
         rc = eval_main(["--gold", str(gold), "--replay", str(tmp_path / "c.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("world", [
+        {"now": NOW, "resources": []},
+        [],
+        {"seed": 1, "now": NOW, "resources": [RESOURCE]},
+        {"seed": 1, "now": NOW, "resources": [FTP_RESOURCE]},
+    ], ids=["no-seed", "list", "no-lags", "ftp-uri"])
+    def test_malformed_world_is_error_line(self, tmp_path, capsys, world):
+        _, cassette = generate_world(seed=28, n=1)
+        cassette.save(str(tmp_path / "c.jsonl"))
+        (tmp_path / "world.json").write_text(json.dumps(world))
+        rc = eval_main([
+            "--world", str(tmp_path / "world.json"), "--replay", str(tmp_path / "c.jsonl"),
+        ])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")

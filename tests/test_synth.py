@@ -6,7 +6,7 @@ import pytest
 
 from carbondate.aggregate import aggregate
 from carbondate.core import PlausibilityWindow, normalize_uri
-from carbondate.replay import ReplayTransport
+from carbondate.replay import Cassette, HttpResponse, ReplayTransport
 from carbondate.sources import SourceContext, gather_evidence
 from carbondate.synth import (
     DAY,
@@ -15,6 +15,7 @@ from carbondate.synth import (
     SyntheticWorld,
     default_lag_models,
     generate_world,
+    put,
 )
 
 
@@ -121,3 +122,26 @@ class TestGenerateWorld:
         # File is valid JSON with ISO timestamps.
         obj = json.loads(path.read_text())
         assert len(obj["resources"]) == 7
+
+
+class TestPut:
+    def test_json_body_and_header_order(self):
+        cassette = Cassette(recorded_at=0)
+        put(cassette, "http://a.example/info", {"id": "s1"})
+        last_modified = {"Last-Modified": "Fri, 20 Apr 2012 21:52:07 GMT"}
+        put(cassette, "http://a.example/", "", "text/html", method="HEAD",
+            headers=last_modified)
+        info = cassette.lookup("GET", "http://a.example/info").response
+        json_type = {"Content-Type": "application/json"}
+        assert info == HttpResponse(200, json_type, '{"id": "s1"}')
+        head = cassette.lookup("HEAD", "http://a.example/").response
+        assert head.headers == {"Content-Type": "text/html", **last_modified}
+        assert list(head.headers) == ["Content-Type", "Last-Modified"]
+        assert head.body == ""
+
+    def test_first_recording_wins(self):
+        cassette = Cassette(recorded_at=0)
+        put(cassette, "http://a.example/info", {"id": "first"})
+        put(cassette, "http://a.example/info", {"id": "second"})
+        info = cassette.lookup("GET", "http://a.example/info").response
+        assert info.body == '{"id": "first"}'
