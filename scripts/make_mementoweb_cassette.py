@@ -96,7 +96,11 @@ def build() -> Cassette:
 
 
 def main() -> int:
-    out = Path(sys.argv[1] if len(sys.argv) > 1 else "fixtures/mementoweb.jsonl")
+    # No default path: the committed fixture must not be overwritten.
+    if len(sys.argv) != 2:
+        print(f"usage: {Path(sys.argv[0]).name} OUT.jsonl", file=sys.stderr)
+        return 2
+    out = Path(sys.argv[1])
     out.parent.mkdir(parents=True, exist_ok=True)
     build().save(str(out))
     print(f"wrote {out}")

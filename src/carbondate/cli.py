@@ -125,10 +125,10 @@ def _run_batch(args) -> int:
         with open(args.input, "r", encoding="utf-8") as f:
             lines = [line.strip() for line in f if line.strip()]
         ctx = build_context(config)
+        sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     except (OSError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for raw in lines:
             try:

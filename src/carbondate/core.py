@@ -140,7 +140,12 @@ _EPOCH = datetime(1970, 1, 1)
 _EPOCH_ORD = _EPOCH.toordinal()
 
 
-def _build(year: int, mon_name: str, day: int, hh: int, mm: int, ss: int) -> int:
+def epoch_seconds(year: int, mon_name: str, day: int, hh: int, mm: int, ss: int) -> int:
+    """Epoch seconds of a UTC date given by its HTTP-date fields.
+
+    Raises UnparsableDate for an unknown month name or a day or time that
+    does not exist.
+    """
     month = _MONTHS.get(mon_name.capitalize())
     if month is None:
         raise UnparsableDate(f"unknown month {mon_name!r}")
@@ -165,17 +170,17 @@ def parse_http_date(s: str) -> int:
     m = _RFC1123.match(s)
     if m:
         dd, mon, yyyy, hh, mi, ss = m.groups()
-        return _build(int(yyyy), mon, int(dd), int(hh), int(mi), int(ss))
+        return epoch_seconds(int(yyyy), mon, int(dd), int(hh), int(mi), int(ss))
     m = _RFC850.match(s)
     if m:
         dd, mon, yy, hh, mi, ss = m.groups()
         y2 = int(yy)
         year = 1900 + y2 if y2 >= 70 else 2000 + y2
-        return _build(year, mon, int(dd), int(hh), int(mi), int(ss))
+        return epoch_seconds(year, mon, int(dd), int(hh), int(mi), int(ss))
     m = _ASCTIME.match(s)
     if m:
         mon, dd, hh, mi, ss, yyyy = m.groups()
-        return _build(int(yyyy), mon, int(dd), int(hh), int(mi), int(ss))
+        return epoch_seconds(int(yyyy), mon, int(dd), int(hh), int(mi), int(ss))
     raise UnparsableDate(f"not an HTTP-date: {s!r}")
 
 

@@ -17,6 +17,7 @@ from urllib.parse import urljoin, urlsplit
 from .core import (
     CanonicalUri,
     UnparsableDate,
+    epoch_seconds,
     normalize_uri,
     parse_http_date,
 )
@@ -63,12 +64,17 @@ _TOP_LEVEL_PARAMS = re.compile(r'(?:[^;"]+|"[^"]*"?)+')
 
 
 _ENTRY = re.compile(r"^\s*<([^>]*)>\s*(.*)$", re.DOTALL)
-# The shape of nearly every aggregator entry. A full match gives the
-# target, host, rel and datetime that _parse_entry and urlsplit would; any
-# other entry (a port, userinfo, an upper-case scheme, more params) goes
-# through them.
+# The shape of nearly every aggregator entry: a rel and, optionally, an
+# RFC 1123 datetime in GMT, split into its fields. A full match gives the
+# target, host, rel and date fields that _parse_entry, urlsplit and
+# parse_http_date would; any other entry (a port, userinfo, an upper-case
+# scheme or host, more params, another date form or zone) goes through
+# them.
 _MEMENTO_ENTRY = re.compile(
-    r'\s*<(https?://([a-z0-9.-]+)(?:[/?#][^>\s]*)?)>;rel="([^"]*)";datetime="([^"]*)"\s*'
+    r'\s*<(https?://([a-z0-9.-]+)(?:[/?#][^>\s]*)?)>;rel="([^"]*)"'
+    r'(?:;datetime="[A-Za-z]{3}, ([0-9]{2}) '
+    r"(Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec) ([0-9]{4}) "
+    r'([01][0-9]|2[0-3]):([0-5][0-9]):([0-5][0-9]) GMT")?\s*'
 )
 
 
@@ -103,20 +109,25 @@ def parse_timemap(body: str, original: CanonicalUri) -> Timemap:
     for entry in _TOP_LEVEL_ENTRIES.findall(body):
         fast = _MEMENTO_ENTRY.fullmatch(entry)
         if fast:
-            target, host, rel, when = fast.groups()
-            params: dict[str, str] = {}
-        else:
-            parsed = _parse_entry(entry)
-            if parsed is None:
+            parsed_any = True
+            target, host, rel, dd, mon, yyyy, hh, mi, ss = fast.groups()
+            if dd is None or "memento" not in rel.split():
                 continue
-            target, params = parsed
-            host = None
-            rel, when = params.get("rel", ""), params.get("datetime")
+            try:
+                dt = epoch_seconds(int(yyyy), mon, int(dd), int(hh), int(mi), int(ss))
+            except UnparsableDate:
+                continue
+            mementos.append(Memento(host, target, dt))
+            continue
+        parsed = _parse_entry(entry)
+        if parsed is None:
+            continue
         parsed_any = True
-        if "memento" not in rel.split() or when is None:
+        target, params = parsed
+        if "memento" not in params.get("rel", "").split() or "datetime" not in params:
             continue
         try:
-            dt = parse_http_date(when)
+            dt = parse_http_date(params["datetime"])
         except UnparsableDate:
             continue
         last_mod: Optional[int] = None
@@ -125,8 +136,7 @@ def parse_timemap(body: str, original: CanonicalUri) -> Timemap:
                 last_mod = parse_http_date(params["last-modified"])
             except UnparsableDate:
                 last_mod = None
-        if host is None:
-            host = (urlsplit(target).hostname or "").lower()
+        host = (urlsplit(target).hostname or "").lower()
         mementos.append(
             Memento(
                 archive_host=host,
@@ -154,6 +164,40 @@ class _AnchorCollector(HTMLParser):
                 self.hrefs.append(value)
 
 
+# Plain HTML, on which HTMLParser reports exactly the attributes written:
+# text with no markup and no character references; start tags with ASCII
+# names and only double-quoted attribute values free of "<>&; end tags;
+# HTML whitespace only. Raw-text elements, whose content HTMLParser reads
+# differently from one version to the next, are left out. Text and tags
+# are told apart by "<", and start and end tags by the character after it,
+# so a body that does not match fails in time linear in its length.
+_START_TAG = (
+    r"(?!(?i:script|style|textarea|title|xmp|iframe|noembed|noframes|noscript|plaintext)"
+    r"[ \t\n\r\f/>])[A-Za-z][A-Za-z0-9]*"
+    r'(?:[ \t\n\r\f]+[A-Za-z][-A-Za-z0-9_.:]*="[^"<>&]*")*[ \t\n\r\f]*/?>'
+)
+_END_TAG = r"/[A-Za-z][A-Za-z0-9]*[ \t\n\r\f]*>"
+_PLAIN_HTML = re.compile(rf"[^<&]*(?:<(?:{_END_TAG}|{_START_TAG})[^<&]*)*")
+# In a plain body: the attributes of each a start tag, then each attribute.
+_A_TAG = re.compile(r"<[aA]((?:[ \t\n\r\f/][^>]*)?)>")
+_ATTRIBUTE = re.compile(r'([A-Za-z][-A-Za-z0-9_.:]*)="([^"]*)"')
+
+
+def _hrefs(body: str) -> list[str]:
+    """The non-empty href values of body's a tags in document order, as
+    _AnchorCollector reports them."""
+    if _PLAIN_HTML.fullmatch(body):
+        return [
+            value
+            for attributes in _A_TAG.findall(body)
+            for name, value in _ATTRIBUTE.findall(attributes)
+            if value and name.lower() == "href"
+        ]
+    collector = _AnchorCollector()
+    collector.feed(body)
+    return collector.hrefs
+
+
 # Wayback-style rewriting embeds the original URI after a 14-digit
 # datetime token (optionally suffixed with a modifier like im_ or id_).
 _REWRITTEN = re.compile(r"/\d{14}(?:[a-z]{2}_)?/(https?://.+)$", re.IGNORECASE)
@@ -179,11 +223,10 @@ def contains_link(
         # attribute names with str.lower as well.
         if "href" not in body.lower():
             return False
-        collector = _AnchorCollector()
-        collector.feed(body)
+        hrefs = _hrefs(body)
     except Exception:
         return False
-    for href in collector.hrefs:
+    for href in hrefs:
         candidate = strip_archive_rewrite(href.strip())
         try:
             if "://" not in candidate:

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from carbondate.core import (
     _HOST_OK,
     _MONTHS,
-    _build,
     CanonicalUri,
     MalformedUri,
     PlausibilityWindow,
     UnparsableDate,
     day_to_timestamp,
+    epoch_seconds,
     filter_plausible,
     normalize_uri,
     parse_http_date,
@@ -64,7 +64,7 @@ def normalize_uri_reference(raw):
 
 
 def build_reference(year, mon_name, day, hh, mm, ss):
-    """_build through datetime alone."""
+    """epoch_seconds through datetime alone."""
     month = _MONTHS.get(mon_name.capitalize())
     if month is None:
         raise UnparsableDate(f"unknown month {mon_name!r}")
@@ -224,7 +224,7 @@ class TestParseHttpDate:
     @example(9999, "Dec", 31, 23, 59, 59)
     def test_build_matches_datetime(self, year, mon, day, hh, mm, ss):
         args = (year, mon, day, hh, mm, ss)
-        assert outcome(_build, *args) == outcome(build_reference, *args)
+        assert outcome(epoch_seconds, *args) == outcome(build_reference, *args)
 
 
 class TestPlausibility:

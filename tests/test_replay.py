@@ -351,6 +351,22 @@ class TestCassetteFile:
         assert made.recorded_at == fixture.recorded_at
         assert made.entries == fixture.entries
 
+    def test_fixture_script_needs_an_output_path(self, tmp_path):
+        fixture = tmp_path / "fixtures" / "mementoweb.jsonl"
+        fixture.parent.mkdir()
+        committed = (REPO_ROOT / "fixtures" / "mementoweb.jsonl").read_bytes()
+        fixture.write_bytes(committed)
+        run = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "scripts" / "make_mementoweb_cassette.py")],
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        )
+        assert run.returncode == 2
+        assert run.stderr.startswith("usage:")
+        assert fixture.read_bytes() == committed
+
 
 def reference_load(path):
     """Cassette.load as it read files with the stdlib json module alone."""

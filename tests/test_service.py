@@ -494,6 +494,12 @@ class TestCliInputErrors:
         assert main(batch_argv + [flag, "0"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_batch_out_to_missing_directory_is_error_line(self, tmp_path, batch_argv, capsys):
+        out = tmp_path / "missing" / "out.jsonl"
+        assert main(batch_argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.parent.exists()
+
     @pytest.mark.parametrize("command", ["batch", "serve"])
     @pytest.mark.parametrize("header", [
         None,

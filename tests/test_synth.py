@@ -145,3 +145,15 @@ class TestPut:
         put(cassette, "http://a.example/info", {"id": "second"})
         info = cassette.lookup("GET", "http://a.example/info").response
         assert info.body == '{"id": "first"}'
+
+    def test_recordings_share_one_header_map_per_content_type(self):
+        _, cassette = generate_world(seed=7, n=50)
+        by_type = {}
+        for entry in cassette.entries.values():
+            headers = entry.response.headers
+            if len(headers) == 1:
+                by_type.setdefault(headers["Content-Type"], set()).add(id(headers))
+        assert set(by_type) == {"application/json", "application/link-format", "text/html"}
+        assert all(len(ids) == 1 for ids in by_type.values())
+        heads = [e.response.headers for e in cassette.entries.values() if e.method == "HEAD"]
+        assert heads and len({id(h) for h in heads}) == len(heads)

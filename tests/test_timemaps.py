@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from urllib.parse import urljoin, urlsplit
 
 import pytest
@@ -19,6 +20,7 @@ from carbondate.timemaps import (
     _TOP_LEVEL_ENTRIES,
     _TOP_LEVEL_PARAMS,
     _AnchorCollector,
+    _hrefs,
     _parse_entry,
     FetchFailed,
     MalformedTimemap,
@@ -128,6 +130,22 @@ def contains_link_reference(body, target, base_uri=None):
     return False
 
 
+# Markup on both sides of the plain-HTML grammar.
+HTML_BODIES = st.lists(st.one_of(
+    st.sampled_from([
+        '<a href="http://www.mementoweb.org/">', "<A HREF='/'>", "<a hReF=/>",
+        "<a\nhref = http://www.mementoweb.org>", "</a>", "<p>", "<a name=x>",
+        "href", "<a h ref=/>", "<a data-href=/>", "&#104;ref", "<!-- <a href=/> -->",
+        '<a href="/">', '<A HREF="http://www.mementoweb.org/">', '<a href="/" href="/x">',
+        '<a href="/"/>', '<a href="/" />', '<a title="t" href="/">', '<a href="">', "</a >",
+        "</A\n>", '<a\vhref="/">', '<a href="/"\v>', "<P>", "</p>", "<br/>", '<h1 id="x:y">',
+        "<script>", "</script>", "<Style>", "<title>", "<textarea>", "<xmp>", "<iframe>",
+        "<noembed>", "<noframes>", "<noscript>", "<plaintext>", "<scripts>", "&", "&amp;",
+        '<a href="a&amp;b">', '<a href="a>b">', "<", ">", '"', " ", "\t", "\r\n", "\f", "\v",
+    ]),
+    st.text(max_size=10),
+), max_size=6).map("".join)
+
 DATES = [
     "Fri, 10 Feb 2006 20:02:36 GMT",
     "Sun Nov  6 08:49:37 1994",
@@ -232,6 +250,17 @@ class TestParseTimemap:
     @example('<http://a.example/x>;rel="x;memento";datetime="%s"' % DATES[0])
     @example('<http://a.example/x>;rev="memento";datetime="%s"' % DATES[0])
     @example('<http://a_b.example/x>;rel="memento";datetime="%s"' % DATES[0])
+    @example('<http://a.example/x>;rel="memento";datetime="Fri, 10 Feb 2006 20:02:36 UTC"')
+    @example('<http://a.example/x>;rel="memento";datetime="Fri, 10 jan 2006 20:02:36 GMT"')
+    @example('<http://a.example/x>;rel="memento";datetime="Tue, 31 Feb 2006 20:02:36 GMT"')
+    @example('<http://a.example/x>;rel="memento";datetime="Sat, 01 Jan 0000 00:00:00 GMT"')
+    @example('<http://a.example/x>;rel="memento";datetime="Fri, 10 Feb 2006 24:00:00 GMT"')
+    @example('<http://a.example/x>;rel="memento";datetime="Fri, 10 Feb 2006 23:60:00 GMT"')
+    @example('<http://a.example/x>;rel="memento";datetime="Fri, 10 Feb 2006 23:59:60 GMT"')
+    @example('<http://a.example/x>;rel="memento";datetime="F1i, 10 Feb 2006 20:02:36 GMT"')
+    @example('<http://a.example/x>;rel="memento";datetime="Fri, 10 Feb 2006 20:02:36 GMT "')
+    @example('<http://a.example/x>;rel="first memento"')
+    @example('<http://a.example:8080/x>;rel="original"')
     def test_matches_general_parser(self, body):
         assert outcome(parse_timemap, body, ORIGINAL) == outcome(
             parse_timemap_reference, body, ORIGINAL
@@ -331,21 +360,39 @@ class TestContainsLink:
         assert not contains_link("<a href=<<<>>>", self.target)
 
     @settings(max_examples=500, deadline=None)
-    @given(
-        st.lists(st.one_of(
-            st.sampled_from([
-                '<a href="http://www.mementoweb.org/">', "<A HREF='/'>", "<a hReF=/>",
-                "<a\nhref = http://www.mementoweb.org>", "</a>", "<p>", "<a name=x>",
-                "href", "<a h ref=/>", "<a data-href=/>", "&#104;ref", "<!-- <a href=/> -->",
-            ]),
-            st.text(max_size=10),
-        ), max_size=6).map("".join),
-        st.sampled_from([None, "http://www.mementoweb.org/"]),
-    )
+    @given(HTML_BODIES, st.sampled_from([None, "http://www.mementoweb.org/"]))
     def test_prefilter_matches_html_parser(self, body, base_uri):
         assert contains_link(body, self.target, base_uri) == contains_link_reference(
             body, self.target, base_uri
         )
+
+    @settings(max_examples=500, deadline=None)
+    @given(HTML_BODIES)
+    @example('<p>x</p><a href="/" href="http://www.mementoweb.org/">m</a >')
+    @example('<a HREF="/a"/><A title="t" href="/b" /></a\n>')
+    @example('<a href="">e</a><a href="/s">s</a><script></script>')
+    def test_hrefs_match_html_parser(self, body):
+        def reference(body):
+            collector = _AnchorCollector()
+            collector.feed(body)
+            return collector.hrefs
+
+        assert outcome(_hrefs, body) == outcome(reference, body)
+
+    @pytest.mark.parametrize("body", [
+        "href" + "x" * 100_000 + "&",
+        '<a href="/"' + ' x="1"' * 20_000 + "<",
+        '<a href="/"' + " \t" * 50_000 + "/x",
+        '<a href="/">' + "<p>x" * 25_000 + "&",
+    ])
+    def test_adversarial_body_returns(self, body):
+        # The plain-HTML grammar fails these at their last character. It
+        # takes milliseconds; a grammar with nested quantifiers over the
+        # same text takes minutes.
+        start = time.perf_counter()
+        found = contains_link(body, self.target, "http://www.mementoweb.org/")
+        assert time.perf_counter() - start < 5
+        assert found == contains_link_reference(body, self.target, "http://www.mementoweb.org/")
 
     def test_href_urljoin_cannot_split_skipped(self):
         body = '<a href="//[x">bad</a><a href="/">root</a>'
