@@ -109,25 +109,24 @@ def parse_timemap(body: str, original: CanonicalUri) -> Timemap:
     for entry in _TOP_LEVEL_ENTRIES.findall(body):
         fast = _MEMENTO_ENTRY.fullmatch(entry)
         if fast:
-            parsed_any = True
             target, host, rel, dd, mon, yyyy, hh, mi, ss = fast.groups()
-            if dd is None or "memento" not in rel.split():
+            params: dict[str, str] = {}
+            when = dd
+        else:
+            parsed = _parse_entry(entry)
+            if parsed is None:
                 continue
-            try:
-                dt = epoch_seconds(int(yyyy), mon, int(dd), int(hh), int(mi), int(ss))
-            except UnparsableDate:
-                continue
-            mementos.append(Memento(host, target, dt))
-            continue
-        parsed = _parse_entry(entry)
-        if parsed is None:
-            continue
+            target, params = parsed
+            host = None
+            rel, when = params.get("rel", ""), params.get("datetime")
         parsed_any = True
-        target, params = parsed
-        if "memento" not in params.get("rel", "").split() or "datetime" not in params:
+        if "memento" not in rel.split() or when is None:
             continue
         try:
-            dt = parse_http_date(params["datetime"])
+            if fast:
+                dt = epoch_seconds(int(yyyy), mon, int(dd), int(hh), int(mi), int(ss))
+            else:
+                dt = parse_http_date(when)
         except UnparsableDate:
             continue
         last_mod: Optional[int] = None
@@ -136,15 +135,9 @@ def parse_timemap(body: str, original: CanonicalUri) -> Timemap:
                 last_mod = parse_http_date(params["last-modified"])
             except UnparsableDate:
                 last_mod = None
-        host = (urlsplit(target).hostname or "").lower()
-        mementos.append(
-            Memento(
-                archive_host=host,
-                capture_uri=target,
-                memento_datetime=dt,
-                original_last_modified=last_mod,
-            )
-        )
+        if host is None:
+            host = (urlsplit(target).hostname or "").lower()
+        mementos.append(Memento(host, target, dt, last_mod))
     if not parsed_any:
         raise MalformedTimemap("no link entries parsed")
     mementos.sort(key=lambda m: (m.memento_datetime, m.archive_host))

@@ -155,5 +155,16 @@ class TestPut:
                 by_type.setdefault(headers["Content-Type"], set()).add(id(headers))
         assert set(by_type) == {"application/json", "application/link-format", "text/html"}
         assert all(len(ids) == 1 for ids in by_type.values())
-        heads = [e.response.headers for e in cassette.entries.values() if e.method == "HEAD"]
-        assert heads and len({id(h) for h in heads}) == len(heads)
+
+    def test_extra_headers_leave_the_shared_map_alone(self):
+        cassette = Cassette(recorded_at=0)
+        lm = "Tue, 01 Jan 2013 00:00:00 GMT"
+        put(cassette, "http://a.example/x", "x", "text/html")
+        put(cassette, "http://a.example/y", "y", "text/html", method="HEAD",
+            headers={"Last-Modified": lm})
+        put(cassette, "http://a.example/z", "z", "text/html")
+        shared = cassette.lookup("GET", "http://a.example/x").response.headers
+        assert cassette.lookup("GET", "http://a.example/z").response.headers is shared
+        assert shared == {"Content-Type": "text/html"}
+        head = cassette.lookup("HEAD", "http://a.example/y").response.headers
+        assert head == {"Content-Type": "text/html", "Last-Modified": lm}
