@@ -192,6 +192,8 @@ def eval_main(argv=None) -> int:
             gold = load_gold(args.gold, ctx.window)
             truths = [(str(g.uri), g.real_date) for g in gold]
         truths = [(normalize_uri(raw), real) for raw, real in truths]
+        if args.out:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # FormatError, MalformedUri too
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -209,7 +211,6 @@ def eval_main(argv=None) -> int:
     summary_json = json.dumps(summary.to_json(), indent=2)
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         (out / "summary.json").write_text(summary_json + "\n", encoding="utf-8")
         (out / "records.jsonl").write_text(
             records_to_jsonl(records), encoding="utf-8"

@@ -67,6 +67,21 @@ class TestLoadGold:
             load_gold(path, WINDOW)
         assert len(exc.value.problems) == 2
 
+    def test_short_row_reported_with_line_number(self, tmp_path):
+        path = self.write(tmp_path, [
+            "http://a.example/,2010-01-02,news",
+            "",
+            "http://b.example.com/,2011-02-02",
+            "http://c.example/",
+        ])
+        with pytest.raises(FormatError) as exc:
+            load_gold(path, WINDOW)
+        # The blank line is skipped but still counted.
+        assert [p.split(":")[0] for p in exc.value.problems] == [
+            "line 4", "line 5",
+        ]
+        assert all("short row" in p for p in exc.value.problems)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "gold.csv"
         path.write_text("url,date\nhttp://a.example/,2010-01-01\n")

@@ -500,6 +500,24 @@ class TestCliInputErrors:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.parent.exists()
 
+    def test_eval_out_under_a_file_is_error_line(self, tmp_path, capsys, monkeypatch):
+        world, cassette = generate_world(seed=29, n=2)
+        cassette.save(str(tmp_path / "c.jsonl"))
+        world.save(str(tmp_path / "world.json"))
+        (tmp_path / "file").write_text("")
+
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("scored a URI before creating --out")
+
+        monkeypatch.setattr(cli, "gather_evidence", no_scoring)
+        rc = eval_main([
+            "--world", str(tmp_path / "world.json"),
+            "--replay", str(tmp_path / "c.jsonl"),
+            "--out", str(tmp_path / "file" / "sub"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     @pytest.mark.parametrize("command", ["batch", "serve"])
     @pytest.mark.parametrize("header", [
         None,
@@ -596,6 +614,15 @@ class TestEvalCli:
         rc = eval_main(["--gold", str(gold), "--replay", str(tmp_path / "c.jsonl")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_short_gold_row_is_error_line(self, tmp_path, capsys):
+        _, cassette = generate_world(seed=27, n=1)
+        cassette.save(str(tmp_path / "c.jsonl"))
+        gold = tmp_path / "gold.csv"
+        gold.write_text("uri,real_date,category\nhttp://b.example.com/,2011-02-02\n")
+        rc = eval_main(["--gold", str(gold), "--replay", str(tmp_path / "c.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: line 2: short row, expected uri,real_date,category\n"
 
     @pytest.mark.parametrize("world", [
         {"now": NOW, "resources": []},
