@@ -1,20 +1,17 @@
 """Evaluation machinery: per-method day deltas, best-delta statistics,
 area under the sorted-delta curve, ablation, and degree-2 curve fitting.
 
-The AUC x-axis is the normalized resource index on [0, 1] with linear
-interpolation between sorted deltas, integrated by both the composite
-trapezoidal and composite Simpson rules at a fixed fine spacing; the
-reported value is the average of the two. Normalizing makes the value
-comparable across dataset sizes. The value is the trapezoid integral of
-the polyline through the sorted deltas placed evenly on [0, 1] (the tests
-check this to 1e-6 where the nodes land on the integration grid). It is
-not the mean delta: ``auc([0, 0, 3])`` is 0.75, the mean is 1.0.
+The AUC is the exact integral of the polyline through the sorted deltas
+placed evenly on the normalized resource index [0, 1], which makes the
+value comparable across dataset sizes. It is not the mean delta:
+``auc([0, 0, 3])`` is 0.75, the mean is 1.0.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import date
 from typing import Optional, Sequence
@@ -30,8 +27,6 @@ from .core import (
     truncate_to_day,
 )
 from .sources import ALL_METHODS
-
-AUC_SPACING = 0.0001
 
 
 class FormatError(ValueError):
@@ -85,9 +80,12 @@ def load_gold(path: str, window: PlausibilityWindow) -> list[GoldRecord]:
             raise FormatError([f"bad header: {reader.fieldnames}"])
         for row in reader:
             lineno = reader.line_num
-            if row["category"] is None:  # DictReader pads a short row with None
+            # DictReader pads a short row with None and puts the extra
+            # fields of a long one under the None key.
+            if row["category"] is None or None in row:
+                kind = "short" if row["category"] is None else "long"
                 problems.append(
-                    f"line {lineno}: short row, expected uri,real_date,category"
+                    f"line {lineno}: {kind} row, expected uri,real_date,category"
                 )
                 continue
             try:
@@ -144,27 +142,15 @@ def build_record(
 
 
 def auc(deltas: Sequence[float]) -> float:
-    """Average of trapezoid and Simpson integrals of the sorted-delta curve."""
-    import numpy as np
-
+    """Integral of the polyline through the sorted deltas, spaced evenly on
+    [0, 1]; a single delta is a flat curve. The first and last sorted
+    deltas are the least and the greatest, so no sort is needed."""
     if len(deltas) == 0:
         raise EmptyInput("no deltas to integrate")
-    ys = np.sort(np.asarray(deltas, dtype=float))
-    if len(ys) == 1:  # a single delta is a flat curve over [0, 1]
-        ys = np.array([ys[0], ys[0]])
-    xs = np.linspace(0.0, 1.0, len(ys))
-    # Even interval count so composite Simpson applies directly.
-    intervals = max(2, int(round(1.0 / AUC_SPACING)))
-    if intervals % 2:
-        intervals += 1
-    grid = np.linspace(xs[0], xs[-1], intervals + 1)
-    y = np.interp(grid, xs, ys)
-    h = (xs[-1] - xs[0]) / intervals
-    trap = h * (y[0] / 2.0 + y[1:-1].sum() + y[-1] / 2.0)
-    simpson = (h / 3.0) * (
-        y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()
-    )
-    return float((trap + simpson) / 2.0)
+    if len(deltas) == 1:
+        return float(deltas[0])
+    ends = (min(deltas) + max(deltas)) / 2
+    return (math.fsum(deltas) - ends) / (len(deltas) - 1)
 
 
 @dataclass(frozen=True)
@@ -176,7 +162,8 @@ class QuadraticFit:
 
 
 def polyfit2(points: Sequence[tuple[float, float]]) -> QuadraticFit:
-    """Least-squares a*x^2 + b*x + c via the normal equations."""
+    """Least-squares a*x^2 + b*x + c via the normal equations. The one
+    function of the package that needs numpy, imported when first called."""
     import numpy as np
 
     if len(points) < 3:

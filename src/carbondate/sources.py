@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import queue
-import string
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -58,18 +57,6 @@ FLAG_PARTIAL_FETCH = "partial_fetch"
 POOL_WORKERS = 32
 _POOL_LOCK = threading.Lock()
 
-# quote(s, safe="") of an ASCII string: urllib's always-safe characters
-# stay, every other one becomes its upper-case %XX.
-_ALWAYS_SAFE = string.ascii_letters + string.digits + "_.-~"
-_QUOTE_ASCII = str.maketrans(
-    {c: f"%{ord(c):02X}" for c in map(chr, range(128)) if c not in _ALWAYS_SAFE}
-)
-
-
-def _quote(s: str) -> str:
-    return s.translate(_QUOTE_ASCII) if s.isascii() else quote(s, safe="")
-
-
 @dataclass(frozen=True)
 class Endpoints:
     """Upstream service locations. Overridable for recording against
@@ -84,25 +71,25 @@ class Endpoints:
         return self.timemap_base + uri
 
     def shortener_lookup_url(self, uri: str) -> str:
-        return f"{self.shortener_base}/lookup?url={_quote(uri)}"
+        return f"{self.shortener_base}/lookup?url={quote(uri, safe='')}"
 
     def shortener_info_url(self, short_id: str) -> str:
-        return f"{self.shortener_base}/info?id={_quote(short_id)}"
+        return f"{self.shortener_base}/info?id={quote(short_id, safe='')}"
 
     def social_search_url(self, uri: str) -> str:
         return (
-            f"{self.social_base}/search?uri={_quote(uri)}"
+            f"{self.social_base}/search?uri={quote(uri, safe='')}"
             f"&limit={SOCIAL_POST_LIMIT}"
         )
 
     def crawl_url(self, uri: str) -> str:
         return (
-            f"{self.index_base}/crawl?uri={_quote(uri)}"
+            f"{self.index_base}/crawl?uri={quote(uri, safe='')}"
             f"&years={SEARCH_WINDOW_YEARS}"
         )
 
     def backlinks_url(self, uri: str) -> str:
-        return f"{self.index_base}/backlinks?uri={_quote(uri)}"
+        return f"{self.index_base}/backlinks?uri={quote(uri, safe='')}"
 
 
 @dataclass
@@ -157,6 +144,14 @@ def _error(method: str, message: str, **kw) -> EvidenceResult:
     return EvidenceResult(method=method, status="error", error=message, **kw)
 
 
+def _failed(method: str, exc: Exception, prefix: str = "", **kw) -> EvidenceResult:
+    """empty when the upstream answered 404, since the source has no record
+    of the URI; error with prefix and the failure's text otherwise."""
+    if isinstance(exc, FetchFailed) and exc.status == 404:
+        return _empty(method, **kw)
+    return _error(method, f"{prefix}{exc}", **kw)
+
+
 def _malformed(method: str, what: str, value: object, **kw) -> EvidenceResult:
     """error for a value of the wrong JSON type in an upstream answer."""
     return _error(
@@ -209,9 +204,7 @@ def probe_last_modified(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult
     try:
         resp = _fetch(ctx, "HEAD", str(uri))
     except FetchFailed as exc:
-        if exc.status == 404:
-            return _empty(method)
-        return _error(method, str(exc))
+        return _failed(method, exc)
     value = resp.header("Last-Modified")
     if value is None:
         return _empty(method)
@@ -225,9 +218,7 @@ def query_archives(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
         resp = _fetch(ctx, "GET", ctx.endpoints.timemap_url(str(uri)))
         tm = parse_timemap(resp.body, uri)
     except Exception as exc:
-        if isinstance(exc, FetchFailed) and exc.status == 404:
-            return _empty(method)
-        return _error(method, str(exc))
+        return _failed(method, exc)
     by_archive: dict[str, int] = {}
     for m in tm.mementos:
         t = filter_plausible(m.candidate(), ctx.window)
@@ -246,9 +237,7 @@ def query_shortener(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
     try:
         lookup = _get_json(ctx, ctx.endpoints.shortener_lookup_url(str(uri)))
     except Exception as exc:
-        if isinstance(exc, FetchFailed) and exc.status == 404:
-            return _empty(method)
-        return _error(method, f"lookup failed: {exc}")
+        return _failed(method, exc, "lookup failed: ")
     short_id = lookup.get("id")
     if not short_id:
         return _empty(method)
@@ -257,7 +246,7 @@ def query_shortener(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
     try:
         info = _get_json(ctx, ctx.endpoints.shortener_info_url(short_id))
     except Exception as exc:
-        return _error(method, f"info query failed: {exc}", detail={"id": short_id})
+        return _failed(method, exc, "info query failed: ", detail={"id": short_id})
     created = info.get("created_at")
     if not created:
         return _empty(method, detail={"id": short_id})
@@ -275,7 +264,7 @@ def query_social(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
     try:
         data = _get_json(ctx, ctx.endpoints.social_search_url(str(uri)))
     except Exception as exc:
-        return _error(method, str(exc))
+        return _failed(method, exc)
     posts = data.get("posts", [])
     if not isinstance(posts, list):
         return _malformed(method, "posts", posts)
@@ -312,7 +301,7 @@ def query_search_index(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
     try:
         data = _get_json(ctx, ctx.endpoints.crawl_url(str(uri)))
     except Exception as exc:
-        return _error(method, str(exc))
+        return _failed(method, exc)
     crawl_date = data.get("crawl_date")
     if not crawl_date:
         return _empty(method)
@@ -336,7 +325,7 @@ def query_backlinks(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
     try:
         data = _get_json(ctx, ctx.endpoints.backlinks_url(str(uri)))
     except Exception as exc:
-        return _error(method, str(exc))
+        return _failed(method, exc)
     backlinks = data.get("backlinks", [])
     if not backlinks:
         return _empty(method)

@@ -212,10 +212,6 @@ def contains_link(
     skipped.
     """
     try:
-        # No text "href" means no href attribute: HTMLParser lower-cases
-        # attribute names with str.lower as well.
-        if "href" not in body.lower():
-            return False
         hrefs = _hrefs(body)
     except Exception:
         return False

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from datetime import date
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -81,6 +82,17 @@ class TestLoadGold:
             "line 4", "line 5",
         ]
         assert all("short row" in p for p in exc.value.problems)
+
+    def test_long_row_reported_with_line_number(self, tmp_path):
+        path = self.write(tmp_path, [
+            "http://a.example/,2010-01-02,news",
+            "http://b.example.com/,2011-02-02,news,extra,more",
+        ])
+        with pytest.raises(FormatError) as exc:
+            load_gold(path, WINDOW)
+        assert exc.value.problems == [
+            "line 3: long row, expected uri,real_date,category"
+        ]
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "gold.csv"
@@ -171,6 +183,28 @@ class TestAuc:
             got = auc(deltas)
             expected = float(np.trapezoid(sorted(deltas), dx=1 / (len(deltas) - 1)))
             assert got == pytest.approx(expected, abs=1e-6)
+
+    def test_not_the_mean(self):
+        assert auc([0, 0, 3]) == 0.75
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.one_of(
+            st.integers(min_value=0, max_value=10**6),
+            st.floats(min_value=0, max_value=1e9, allow_nan=False, allow_infinity=False),
+        ),
+        min_size=1,
+        max_size=200,
+    ))
+    def test_matches_exact_segment_sum(self, deltas):
+        # Each segment of the polyline is a trapezoid of width 1/(n-1),
+        # summed without rounding.
+        ys = sorted(Fraction(d) for d in deltas)
+        if len(ys) == 1:
+            exact = ys[0]
+        else:
+            exact = sum((a + b) / 2 for a, b in zip(ys, ys[1:])) / (len(ys) - 1)
+        assert auc(deltas) == pytest.approx(float(exact), rel=1e-12, abs=0)
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -1,5 +1,6 @@
-"""The serve and batch paths load neither numpy nor the live-fetch and
-server modules: numpy is needed only by ``carbondate-eval``'s scoring."""
+"""The serve, batch, make-world and carbondate-eval paths run without
+numpy, and serve and batch load neither the live-fetch nor the server
+modules: numpy is needed only by ``evaluation.polyfit2``."""
 
 from __future__ import annotations
 
@@ -78,3 +79,48 @@ def test_batch_and_app_run_without_numpy(tmp_path):
     assert got["status"] == ["200 OK"]
     assert got["body"] == json.dumps(PUBLISHED, indent=2)
     assert got["loaded"] == []
+
+
+# make-world, then carbondate-eval on that world, where any numpy import
+# raises ImportError.
+EVAL_CHILD = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+out_dir, = sys.argv[1:]
+
+from carbondate import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    world_rc = cli.main(["make-world", "--seed", "7", "--n", "30", "--out", out_dir])
+eval_out = io.StringIO()
+with contextlib.redirect_stdout(eval_out):
+    eval_rc = cli.eval_main([
+        "--world", out_dir + "/world.json", "--replay", out_dir + "/cassette.jsonl",
+        "--ablate", "social",
+    ])
+
+print(json.dumps({
+    "rc": [world_rc, eval_rc],
+    "summary": json.loads(eval_out.getvalue()),
+    "numpy": "numpy" in sys.modules and sys.modules["numpy"] is not None,
+}))
+"""
+
+
+def test_eval_runs_without_numpy(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", EVAL_CHILD, str(tmp_path / "world")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["rc"] == [0, 0]
+    assert not got["numpy"]
+    summary = got["summary"]
+    assert summary["n"] == 30
+    assert summary["auc"] > 0
+    social = summary["ablations"]["social"]
+    assert social["auc_full"] == summary["auc"]
+    assert social["auc"] is not None

@@ -402,6 +402,39 @@ class TestBacklinks:
         assert r.error is None
 
 
+# Every fetch site of the six probes: the probe, the answers that lead to
+# the site, the request made there, and the prefix of its error text.
+FETCH_SITES = {
+    "last_modified": (probe_last_modified, [], ("HEAD", str(URI)), ""),
+    "archives": (query_archives, [], ("GET", EP.timemap_url(str(URI))), ""),
+    "shortener_lookup": (
+        query_shortener, [], ("GET", EP.shortener_lookup_url(str(URI))), "lookup failed: "
+    ),
+    "shortener_info": (
+        query_shortener,
+        [("GET", EP.shortener_lookup_url(str(URI)), jresp({"id": "abc"}))],
+        ("GET", EP.shortener_info_url("abc")),
+        "info query failed: ",
+    ),
+    "social": (query_social, [], ("GET", EP.social_search_url(str(URI))), ""),
+    "search_index": (query_search_index, [], ("GET", EP.crawl_url(str(URI))), ""),
+    "backlinks": (query_backlinks, [], ("GET", EP.backlinks_url(str(URI))), ""),
+}
+
+
+class TestUpstreamStatus:
+    @pytest.mark.parametrize("site", FETCH_SITES)
+    @pytest.mark.parametrize("status", [404, 500])
+    def test_404_is_empty_any_other_status_error(self, site, status):
+        probe, before, (method, url), prefix = FETCH_SITES[site]
+        r = probe(URI, make_ctx(before + [(method, url, jresp({}, status=status))]))
+        if status == 404:
+            assert (r.status, r.error) == ("empty", None)
+        else:
+            assert (r.status, r.error) == ("error", f"{prefix}HTTP {status} for {url}")
+        assert r.detail == ({"id": "abc"} if site == "shortener_info" else {})
+
+
 class TestMalformedDocuments:
     @pytest.mark.parametrize("probe, url, body", [
         (query_social, EP.social_search_url(str(URI)), []),

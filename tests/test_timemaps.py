@@ -361,7 +361,13 @@ class TestContainsLink:
 
     @settings(max_examples=500, deadline=None)
     @given(HTML_BODIES, st.sampled_from([None, "http://www.mementoweb.org/"]))
-    def test_prefilter_matches_html_parser(self, body, base_uri):
+    # Bodies without the text "href": two in the plain-HTML grammar, two
+    # outside it.
+    @example("<html><p>no links</p></html>", "http://www.mementoweb.org/")
+    @example('<p>x</p><a title="t">y</a >', None)
+    @example("<!DOCTYPE html><p>a &amp; b</p><script>x<y</script>", None)
+    @example("<a name=x>y</a><!-- <a> -->", "http://www.mementoweb.org/")
+    def test_contains_link_matches_reference(self, body, base_uri):
         assert contains_link(body, self.target, base_uri) == contains_link_reference(
             body, self.target, base_uri
         )
