@@ -207,15 +207,28 @@ def day_to_timestamp(d: date) -> int:
     return int(datetime(d.year, d.month, d.day, tzinfo=timezone.utc).timestamp())
 
 
+# ASCII digits only, so every Python version reads the same strings.
+_ISO_TIMESTAMP = re.compile(
+    r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})(?:\.[0-9]+)?"
+    r"(?:Z|([+-])([01][0-9]|2[0-3]):?([0-5][0-9]))?"
+)
+
+
 def parse_iso_timestamp(s: str) -> int:
-    """Parse "YYYY-MM-DDTHH:MM:SS" (optional Z / offset) to epoch seconds."""
-    text = s.strip()
-    if text.endswith("Z"):
-        text = text[:-1] + "+00:00"
-    dt = datetime.fromisoformat(text)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
+    """Parse "YYYY-MM-DDTHH:MM:SS" to epoch seconds.
+
+    An optional ".digits" fraction follows, and is dropped. Then an
+    optional zone: "Z", "+HH:MM" or "+HHMM" (or "-"); none means UTC. Any
+    other form, or a date or time that does not exist, is a ValueError.
+    """
+    m = _ISO_TIMESTAMP.fullmatch(s.strip())
+    if m is None:
+        raise ValueError(f"not a YYYY-MM-DDTHH:MM:SS timestamp: {s!r}")
+    *fields, sign, off_h, off_m = m.groups()
+    t = int(datetime(*map(int, fields), tzinfo=timezone.utc).timestamp())
+    if sign:
+        t -= int(sign + off_h) * 3600 + int(sign + off_m) * 60
+    return t
 
 
 def render_iso_timestamp(t: int) -> str:

@@ -34,8 +34,8 @@ class UnmatchedInteraction(KeyError):
 class HttpResponse:
     """One recorded or live answer.
 
-    ``headers`` is read-only: a loaded cassette keeps one map for all its
-    responses whose headers are equal, so changing one changes them all.
+    ``headers`` is read-only: a cassette keeps one map for all its
+    responses whose kept headers are equal, so changing one changes them all.
     """
 
     status: int
@@ -91,8 +91,7 @@ class _EntryReader:
 
     Lines repeat a few methods and header maps, so each distinct one is
     checked and converted once: a method upper-cased and interned, a map
-    type-checked and stripped of the volatile headers. Maps that keep the
-    same headers share one map.
+    type-checked and passed through keep().
     """
 
     __slots__ = ("volatile", "methods", "maps", "kept", "origin")
@@ -104,6 +103,8 @@ class _EntryReader:
         # other than a str equals a str, so a tuple equal to such a key holds
         # strings only and a hit needs no check.
         self.maps: dict[tuple, dict[str, str]] = {}
+        # Keyed by a kept map's names, then its values: a recorded cassette
+        # keeps this table, and a flat key holds no tuple per header.
         self.kept: dict[tuple, dict[str, str]] = {}
         # Scheme, host and "/" of the last canonical URL; a space matches
         # no URL canonical() gets that far with.
@@ -166,11 +167,15 @@ class _EntryReader:
         for value in headers.values():
             if type(value) is not str:
                 raise ValueError(f"not a string: {value!r}")
+        kept = self.maps[tuple(headers.items())] = self.keep(headers)
+        return kept
+
+    def keep(self, headers: dict[str, str]) -> dict[str, str]:
+        """headers without the volatile ones, as the one map shared by
+        every call that keeps the same items."""
         volatile = self.volatile
         kept = {k: v for k, v in headers.items() if k.lower() not in volatile}
-        kept = self.kept.setdefault(tuple(kept.items()), kept)
-        self.maps[tuple(headers.items())] = kept
-        return kept
+        return self.kept.setdefault((*kept, *kept.values()), kept)
 
     def _method(self, method) -> str:
         if type(method) is not str:
@@ -251,24 +256,23 @@ class Cassette:
     recorded_at: int
     volatile_headers: tuple[str, ...] = DEFAULT_VOLATILE_HEADERS
     entries: dict[tuple[str, str], Interaction] = field(default_factory=dict)
+    # Shares the header maps add() stores; made on the first add, so a
+    # cassette that is only loaded holds no table of maps.
+    _reader: Optional[_EntryReader] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def add(self, interaction: Interaction) -> None:
         """Insert unless the key is already present."""
         key = match_key(interaction.method, interaction.url)
         if key in self.entries:
             return
+        if self._reader is None:
+            self._reader = _EntryReader(self.volatile_headers)
         response = interaction.response
-        headers = self._kept(response.headers)
-        if headers is not response.headers:
-            interaction = replace(interaction, response=replace(response, headers=headers))
+        headers = self._reader.keep(response.headers)
+        interaction = replace(interaction, response=replace(response, headers=headers))
         self.entries[key] = interaction
-
-    def _kept(self, headers: dict[str, str]) -> dict[str, str]:
-        """headers itself, or a new map without the volatile ones."""
-        volatile = self.volatile_headers
-        if any(k.lower() in volatile for k in headers):
-            return {k: v for k, v in headers.items() if k.lower() not in volatile}
-        return headers
 
     def lookup(self, method: str, url: str) -> Interaction:
         # A request for exactly the recorded URL needs no normalizing. The

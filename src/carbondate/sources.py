@@ -35,17 +35,6 @@ METHOD_SOCIAL = "social"
 METHOD_SEARCH_INDEX = "search_index"
 METHOD_BACKLINKS = "backlinks"
 
-ALL_METHODS = frozenset(
-    {
-        METHOD_LAST_MODIFIED,
-        METHOD_ARCHIVES,
-        METHOD_SHORTENER,
-        METHOD_SOCIAL,
-        METHOD_SEARCH_INDEX,
-        METHOD_BACKLINKS,
-    }
-)
-
 SOCIAL_POST_LIMIT = 500
 SEARCH_WINDOW_YEARS = 15
 
@@ -159,14 +148,27 @@ def _malformed(method: str, what: str, value: object, **kw) -> EvidenceResult:
     )
 
 
+def _unusable(
+    method: str, value: object, kind: type, what: str, **kw
+) -> Optional[EvidenceResult]:
+    """The result for a JSON field that holds no usable value: empty when it
+    is missing, null or an empty kind, malformed when it is any other type;
+    None for a non-empty kind."""
+    if isinstance(value, kind):
+        return None if value else _empty(method, **kw)
+    if value is None:
+        return _empty(method, **kw)
+    return _malformed(method, what, value, **kw)
+
+
 def _dated(
     method: str, raw: object, parse: Callable[[str], int], ctx: SourceContext, **kw
 ) -> EvidenceResult:
     """ok with parse(raw) when it parses and is plausible; otherwise empty,
-    keeping raw in detail under "unparsable" or "implausible". A raw value
-    that is not a string is a malformed document."""
-    if not isinstance(raw, str):
-        return _malformed(method, "date", raw, **kw)
+    keeping raw in detail under "unparsable" or "implausible". A raw that
+    is missing, empty or not a string gets _unusable's result."""
+    if unusable := _unusable(method, raw, str, "date", **kw):
+        return unusable
     try:
         t = parse(raw)
     except ValueError:
@@ -205,10 +207,7 @@ def probe_last_modified(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult
         resp = _fetch(ctx, "HEAD", str(uri))
     except FetchFailed as exc:
         return _failed(method, exc)
-    value = resp.header("Last-Modified")
-    if value is None:
-        return _empty(method)
-    return _dated(method, value, parse_http_date, ctx)
+    return _dated(method, resp.header("Last-Modified"), parse_http_date, ctx)
 
 
 def query_archives(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
@@ -239,17 +238,13 @@ def query_shortener(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
     except Exception as exc:
         return _failed(method, exc, "lookup failed: ")
     short_id = lookup.get("id")
-    if not short_id:
-        return _empty(method)
-    if not isinstance(short_id, str):
-        return _malformed(method, "id", short_id)
+    if unusable := _unusable(method, short_id, str, "id"):
+        return unusable
     try:
         info = _get_json(ctx, ctx.endpoints.shortener_info_url(short_id))
     except Exception as exc:
         return _failed(method, exc, "info query failed: ", detail={"id": short_id})
     created = info.get("created_at")
-    if not created:
-        return _empty(method, detail={"id": short_id})
     return _dated(method, created, parse_iso_timestamp, ctx, detail={"id": short_id})
 
 
@@ -265,9 +260,10 @@ def query_social(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
         data = _get_json(ctx, ctx.endpoints.social_search_url(str(uri)))
     except Exception as exc:
         return _failed(method, exc)
-    posts = data.get("posts", [])
-    if not isinstance(posts, list):
-        return _malformed(method, "posts", posts)
+    detail = {"total_posts": data["total"]} if "total" in data else {}
+    posts = data.get("posts")
+    if unusable := _unusable(method, posts, list, "posts", detail=detail):
+        return unusable
     timestamps = []
     for post in posts:
         posted_at = post.get("posted_at") if isinstance(post, dict) else None
@@ -280,9 +276,6 @@ def query_social(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
         t = filter_plausible(t, ctx.window)
         if t is not None:
             timestamps.append(t)
-    detail = {}
-    if "total" in data:
-        detail["total_posts"] = data["total"]
     if not timestamps:
         return _empty(method, detail=detail)
     flags = frozenset(
@@ -302,12 +295,9 @@ def query_search_index(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
         data = _get_json(ctx, ctx.endpoints.crawl_url(str(uri)))
     except Exception as exc:
         return _failed(method, exc)
-    crawl_date = data.get("crawl_date")
-    if not crawl_date:
-        return _empty(method)
     return _dated(
         method,
-        crawl_date,
+        data.get("crawl_date"),
         lambda s: day_to_timestamp(parse_iso_day(s)),
         ctx,
         granularity="day",
@@ -326,11 +316,9 @@ def query_backlinks(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
         data = _get_json(ctx, ctx.endpoints.backlinks_url(str(uri)))
     except Exception as exc:
         return _failed(method, exc)
-    backlinks = data.get("backlinks", [])
-    if not backlinks:
-        return _empty(method)
-    if not isinstance(backlinks, list):
-        return _malformed(method, "backlinks", backlinks)
+    backlinks = data.get("backlinks")
+    if unusable := _unusable(method, backlinks, list, "backlinks"):
+        return unusable
 
     first_seen: list[int] = []
     flags: set[str] = set()
@@ -373,6 +361,7 @@ PROBES = {
     METHOD_SEARCH_INDEX: query_search_index,
     METHOD_BACKLINKS: query_backlinks,
 }
+ALL_METHODS = frozenset(PROBES)
 
 
 def gather_evidence(

@@ -159,15 +159,6 @@ def _timemap_body(original: str, times: list[int]) -> str:
     return ",\n".join(lines)
 
 
-# The header map of every recording that adds no header to its
-# Content-Type, one per content type the worlds use. HttpResponse headers
-# are read-only, so the recordings share it.
-_CONTENT_TYPE_HEADERS = {
-    ct: {"Content-Type": ct}
-    for ct in ("application/json", "application/link-format", "text/html")
-}
-
-
 def put(
     cassette: Cassette,
     url: str,
@@ -180,10 +171,7 @@ def put(
     """Add a 200 answer whose headers start with Content-Type; encode a JSON body."""
     if content_type == "application/json":
         body = json.dumps(body)
-    if headers or content_type not in _CONTENT_TYPE_HEADERS:
-        headers = {"Content-Type": content_type, **(headers or {})}
-    else:
-        headers = _CONTENT_TYPE_HEADERS[content_type]
+    headers = {"Content-Type": content_type, **(headers or {})}
     response = HttpResponse(status=200, headers=headers, body=body)
     cassette.add(Interaction(method=method, url=url, response=response))
 

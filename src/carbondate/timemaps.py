@@ -14,13 +14,7 @@ from html.parser import HTMLParser
 from typing import Callable, Optional
 from urllib.parse import urljoin, urlsplit
 
-from .core import (
-    CanonicalUri,
-    UnparsableDate,
-    epoch_seconds,
-    normalize_uri,
-    parse_http_date,
-)
+from .core import CanonicalUri, UnparsableDate, normalize_uri, parse_http_date
 
 
 class MalformedTimemap(ValueError):
@@ -64,17 +58,13 @@ _TOP_LEVEL_PARAMS = re.compile(r'(?:[^;"]+|"[^"]*"?)+')
 
 
 _ENTRY = re.compile(r"^\s*<([^>]*)>\s*(.*)$", re.DOTALL)
-# The shape of nearly every aggregator entry: a rel and, optionally, an
-# RFC 1123 datetime in GMT, split into its fields. A full match gives the
-# target, host, rel and date fields that _parse_entry, urlsplit and
-# parse_http_date would; any other entry (a port, userinfo, an upper-case
-# scheme or host, more params, another date form or zone) goes through
-# them.
+# The shape of nearly every aggregator entry: a rel and, optionally, a
+# quoted datetime. A full match gives the target, host, rel and datetime
+# that _parse_entry and urlsplit would; any other entry (a port, userinfo,
+# an upper-case scheme or host, more params) goes through them.
 _MEMENTO_ENTRY = re.compile(
     r'\s*<(https?://([a-z0-9.-]+)(?:[/?#][^>\s]*)?)>;rel="([^"]*)"'
-    r'(?:;datetime="[A-Za-z]{3}, ([0-9]{2}) '
-    r"(Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec) ([0-9]{4}) "
-    r'([01][0-9]|2[0-3]):([0-5][0-9]):([0-5][0-9]) GMT")?\s*'
+    r'(?:;datetime="([^"]*)")?\s*'
 )
 
 
@@ -109,9 +99,8 @@ def parse_timemap(body: str, original: CanonicalUri) -> Timemap:
     for entry in _TOP_LEVEL_ENTRIES.findall(body):
         fast = _MEMENTO_ENTRY.fullmatch(entry)
         if fast:
-            target, host, rel, dd, mon, yyyy, hh, mi, ss = fast.groups()
+            target, host, rel, when = fast.groups()
             params: dict[str, str] = {}
-            when = dd
         else:
             parsed = _parse_entry(entry)
             if parsed is None:
@@ -123,10 +112,7 @@ def parse_timemap(body: str, original: CanonicalUri) -> Timemap:
         if "memento" not in rel.split() or when is None:
             continue
         try:
-            if fast:
-                dt = epoch_seconds(int(yyyy), mon, int(dd), int(hh), int(mi), int(ss))
-            else:
-                dt = parse_http_date(when)
+            dt = parse_http_date(when)
         except UnparsableDate:
             continue
         last_mod: Optional[int] = None

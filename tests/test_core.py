@@ -268,6 +268,55 @@ class TestDays:
         s = "2009-09-30T11:58:25"
         assert render_iso_timestamp(parse_iso_timestamp(s)) == s
 
+    @pytest.mark.parametrize("text, expected", [
+        ("2011-03-24T10:44:12", 1300963452),
+        ("  2011-03-24T10:44:12Z\n", 1300963452),
+        ("2011-03-24T10:44:12+00:00", 1300963452),
+        ("2011-03-24T10:44:12+01:30", 1300958052),
+        ("2011-03-24T10:44:12+0130", 1300958052),
+        ("2011-03-24T10:44:12-0500", 1300981452),
+        ("2011-03-24T10:44:12-23:59", 1301049792),
+        ("2011-03-24T10:44:12.5Z", 1300963452),
+        ("2011-03-24T10:44:12.123456789+01:30", 1300958052),
+        ("1969-12-31T23:59:59.5", -1),
+        ("0001-01-01T00:00:00", -62135596800),
+        ("9999-12-31T23:59:59", 253402300799),
+        ("2012-02-29T00:00:00", 1330473600),
+        # Basic format, week and ordinal dates, date-only, reduced precision.
+        ("20110324T104412", ValueError),
+        ("2011-03-24T104412", ValueError),
+        ("2011-W12-4T10:44", ValueError),
+        ("2011-W12-4", ValueError),
+        ("2011-083T10:44:12", ValueError),
+        ("2011-03-24", ValueError),
+        ("2011-03-24T10", ValueError),
+        ("2011-03-24T10:44", ValueError),
+        ("2011-03-24T10:44:12+01", ValueError),
+        ("2011-03-24T10:44:12+01:30:00", ValueError),
+        # Other separators, suffixes and digits.
+        ("2011-03-24 10:44:12", ValueError),
+        ("2011-03-24t10:44:12", ValueError),
+        ("2011-03-24T10:44:12z", ValueError),
+        ("2011-03-24T10:44:12.Z", ValueError),
+        ("2011-03-24T10:44:12,5Z", ValueError),
+        ("2011-03-24T10:44:12 Z", ValueError),
+        ("\uff12\uff10\uff11\uff11-03-24T10:44:12", ValueError),
+        ("", ValueError),
+        # Fields and offsets that do not exist.
+        ("2011-02-29T00:00:00", ValueError),
+        ("2011-03-24T24:00:00", ValueError),
+        ("2011-03-24T10:44:60", ValueError),
+        ("0000-01-01T00:00:00", ValueError),
+        ("2011-03-24T10:44:12+24:00", ValueError),
+        ("2011-03-24T10:44:12+01:60", ValueError),
+    ])
+    def test_iso_grammar(self, text, expected):
+        if expected is ValueError:
+            with pytest.raises(ValueError):
+                parse_iso_timestamp(text)
+        else:
+            assert parse_iso_timestamp(text) == expected
+
     @settings(max_examples=500, deadline=None)
     @given(st.one_of(
         st.integers(-(10**12), 3 * 10**11),

@@ -608,6 +608,22 @@ class TestCompactLayout:
         assert headers == {"Date": "whenever", "X-Keep": "yes"}
         assert c.lookup("HEAD", "http://example.com/").response.headers == {"X-Keep": "yes"}
 
+    def test_recordings_apart_only_in_volatile_headers_share_one_map(self):
+        c = Cassette(recorded_at=NOW)
+        for i in range(50):
+            date = f"Tue, 01 Jan 2013 00:{i:02d}:00 GMT"
+            c.add(interaction(url=f"http://e.com/{i}", headers={"Date": date, "X-Keep": "1"}))
+        maps = [e.response.headers for e in c.entries.values()]
+        assert len(maps) == 50
+        assert all(m is maps[0] for m in maps)
+        assert maps[0] == {"X-Keep": "1"}
+        # The table add() shares maps through is keyed by the kept items alone.
+        assert list(c._reader.kept.values()) == [{"X-Keep": "1"}]
+        assert not c._reader.maps
+
+    def test_loaded_cassette_holds_no_table_of_maps(self, world_file):
+        assert Cassette.load(str(world_file))._reader is None
+
 
 def write_entries(path, *entries, volatile=None):
     """A cassette file of the given entry objects, one per line."""

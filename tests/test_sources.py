@@ -435,6 +435,24 @@ class TestUpstreamStatus:
         assert r.detail == ({"id": "abc"} if site == "shortener_info" else {})
 
 
+MISSING = object()
+# Each JSON field a probe reads: the probe, the answers that lead to its
+# document, that document's URL, the field's type and its name in errors.
+JSON_FIELDS = {
+    "backlinks": (query_backlinks, [], EP.backlinks_url(str(URI)), list, "backlinks"),
+    "id": (query_shortener, [], EP.shortener_lookup_url(str(URI)), str, "id"),
+    "created_at": (
+        query_shortener,
+        [("GET", EP.shortener_lookup_url(str(URI)), jresp({"id": "abc"}))],
+        EP.shortener_info_url("abc"),
+        str,
+        "date",
+    ),
+    "crawl_date": (query_search_index, [], EP.crawl_url(str(URI)), str, "date"),
+    "posts": (query_social, [], EP.social_search_url(str(URI)), list, "posts"),
+}
+
+
 class TestMalformedDocuments:
     @pytest.mark.parametrize("probe, url, body", [
         (query_social, EP.social_search_url(str(URI)), []),
@@ -449,6 +467,23 @@ class TestMalformedDocuments:
         r = probe(URI, make_ctx([("GET", url, jresp(body))]))
         assert r.status == "error"
         assert "malformed document" in r.error
+
+    @pytest.mark.parametrize("field", JSON_FIELDS)
+    @pytest.mark.parametrize(
+        "value",
+        [MISSING, None, "", [], {}, 0, False, 7, True, 0.5, {"k": "v"}],
+        ids=lambda v: "missing" if v is MISSING else repr(v),
+    )
+    def test_missing_null_or_empty_is_empty_any_other_type_malformed(self, field, value):
+        probe, before, url, kind, what = JSON_FIELDS[field]
+        doc = {} if value is MISSING else {field: value}
+        r = probe(URI, make_ctx(before + [("GET", url, jresp(doc))]))
+        if value is MISSING or value is None or (isinstance(value, kind) and not value):
+            assert (r.status, r.error) == ("empty", None)
+        else:
+            malformed = f"malformed document: {what} is a {type(value).__name__}"
+            assert (r.status, r.error) == ("error", malformed)
+        assert r.detail == ({"id": "abc"} if field == "created_at" else {})
 
     def test_created_at_that_is_not_a_string_is_error(self):
         ctx = make_ctx([

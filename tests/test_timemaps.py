@@ -19,6 +19,7 @@ from carbondate.core import (
 from carbondate.timemaps import (
     _TOP_LEVEL_ENTRIES,
     _TOP_LEVEL_PARAMS,
+    _MEMENTO_ENTRY,
     _AnchorCollector,
     _hrefs,
     _parse_entry,
@@ -259,12 +260,24 @@ class TestParseTimemap:
     @example('<http://a.example/x>;rel="memento";datetime="Fri, 10 Feb 2006 23:59:60 GMT"')
     @example('<http://a.example/x>;rel="memento";datetime="F1i, 10 Feb 2006 20:02:36 GMT"')
     @example('<http://a.example/x>;rel="memento";datetime="Fri, 10 Feb 2006 20:02:36 GMT "')
+    @example('<http://a.example/x>;rel="memento";datetime="Friday, 10-Feb-06 20:02:36 GMT"')
+    @example('<http://a.example/x>;rel="memento";datetime="Fri Feb 10 20:02:36 2006"')
+    @example('<http://a.example/x>;rel="memento";datetime="Fri, 10 Feb 2006 20:02:36 GMT;x"')
+    @example('<http://a.example/x>;rel="memento";datetime="Fri, 10 Feb 2006, 20:02:36 GMT"')
+    @example('<http://a.example/x>;rel="memento";datetime="Fri;, 10 Feb 2006 20:02:36 GMT"')
     @example('<http://a.example/x>;rel="first memento"')
     @example('<http://a.example:8080/x>;rel="original"')
     def test_matches_general_parser(self, body):
         assert outcome(parse_timemap, body, ORIGINAL) == outcome(
             parse_timemap_reference, body, ORIGINAL
         )
+
+    @pytest.mark.parametrize("when", [
+        DATES[0], DATES[1], "Friday, 10-Feb-06 20:02:36 GMT", "Fri, 10 Feb 2006 20:02:36 UTC",
+        "Fri, 10 jan 2006 20:02:36 GMT", "Fri, 10 Feb 2006 24:00:00 GMT", "soon", "a;b,c", "",
+    ])
+    def test_any_quoted_datetime_takes_the_entry_regex(self, when):
+        assert _MEMENTO_ENTRY.fullmatch(f'<http://a.example/x>;rel="memento";datetime="{when}"')
 
     def test_sorted_output(self):
         body = ",\n".join(
