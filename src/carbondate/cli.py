@@ -25,7 +25,7 @@ from .evaluation import (
     summarize,
 )
 from .service import ServiceConfig, build_context, serve
-from .sources import ALL_METHODS, Endpoints, gather_evidence
+from .sources import ALL_METHODS, gather_evidence
 from .synth import SyntheticWorld, generate_world
 
 
@@ -38,7 +38,7 @@ def _config_from_args(args) -> ServiceConfig:
     if getattr(args, "listen", None):
         kwargs["listen"] = args.listen
     if getattr(args, "sources", None):
-        kwargs["enabled_methods"] = frozenset(args.sources.split(","))
+        kwargs["enabled_methods"] = args.sources.split(",")
     if getattr(args, "timeout_ms", None) is not None:
         kwargs["timeout_ms"] = args.timeout_ms
     if getattr(args, "parallelism", None) is not None:
@@ -53,10 +53,6 @@ def _config_from_args(args) -> ServiceConfig:
         kwargs["now_override"] = parse_iso_timestamp(args.now)
     if getattr(args, "format", None):
         kwargs["report_style"] = args.format
-    if "enabled_methods" in kwargs:
-        kwargs["enabled_methods"] = frozenset(kwargs["enabled_methods"])
-    if "endpoints" in kwargs:
-        kwargs["endpoints"] = Endpoints(**kwargs["endpoints"])
     return ServiceConfig(**kwargs)
 
 
@@ -64,8 +60,9 @@ def _add_transport_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sources", help="comma-separated method names")
     parser.add_argument("--timeout-ms", type=int, dest="timeout_ms")
     parser.add_argument("--parallelism", type=int)
-    parser.add_argument("--replay", metavar="PATH", help="replay from cassette")
-    parser.add_argument("--record", metavar="PATH", help="record into cassette")
+    cassette = parser.add_mutually_exclusive_group()
+    cassette.add_argument("--replay", metavar="PATH", help="replay from cassette")
+    cassette.add_argument("--record", metavar="PATH", help="record into cassette")
     parser.add_argument("--now", help="clock override, ISO 8601")
     parser.add_argument("--format", choices=list(REPORT_STYLES))
 
@@ -97,10 +94,10 @@ def main(argv=None) -> int:
         try:
             config = _config_from_args(args)
             ctx = build_context(config)
+            serve(config, ctx)  # OSError when the address cannot be bound
         except (OSError, TypeError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        serve(config, ctx)
         return 0
     if args.command == "batch":
         return _run_batch(args)

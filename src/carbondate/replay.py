@@ -91,7 +91,7 @@ class _EntryReader:
 
     Lines repeat a few methods and header maps, so each distinct one is
     checked and converted once: a method upper-cased and interned, a map
-    type-checked and passed through keep().
+    type-checked and passed through _keep().
     """
 
     __slots__ = ("volatile", "methods", "maps", "kept", "origin")
@@ -103,8 +103,7 @@ class _EntryReader:
         # other than a str equals a str, so a tuple equal to such a key holds
         # strings only and a hit needs no check.
         self.maps: dict[tuple, dict[str, str]] = {}
-        # Keyed by a kept map's names, then its values: a recorded cassette
-        # keeps this table, and a flat key holds no tuple per header.
+        # _keep()'s table of the maps kept so far.
         self.kept: dict[tuple, dict[str, str]] = {}
         # Scheme, host and "/" of the last canonical URL; a space matches
         # no URL canonical() gets that far with.
@@ -167,21 +166,24 @@ class _EntryReader:
         for value in headers.values():
             if type(value) is not str:
                 raise ValueError(f"not a string: {value!r}")
-        kept = self.maps[tuple(headers.items())] = self.keep(headers)
+        kept = _keep(headers, self.volatile, self.kept)
+        self.maps[tuple(headers.items())] = kept
         return kept
-
-    def keep(self, headers: dict[str, str]) -> dict[str, str]:
-        """headers without the volatile ones, as the one map shared by
-        every call that keeps the same items."""
-        volatile = self.volatile
-        kept = {k: v for k, v in headers.items() if k.lower() not in volatile}
-        return self.kept.setdefault((*kept, *kept.values()), kept)
 
     def _method(self, method) -> str:
         if type(method) is not str:
             raise ValueError(f"not a string: {method!r}")
         upper = self.methods[method] = sys.intern(_upper(method))
         return upper
+
+
+def _keep(headers: dict[str, str], volatile: tuple[str, ...], table: dict) -> dict:
+    """headers without those whose lower-cased name is in volatile, as the
+    one map in table shared by every call that keeps the same items. The
+    table is keyed by a kept map's names, then its values: a flat key holds
+    no tuple per header."""
+    kept = {k: v for k, v in headers.items() if k.lower() not in volatile}
+    return table.setdefault((*kept, *kept.values()), kept)
 
 
 # A URL urlsplit/urlunsplit would return unchanged: lowercase scheme and a
@@ -256,21 +258,21 @@ class Cassette:
     recorded_at: int
     volatile_headers: tuple[str, ...] = DEFAULT_VOLATILE_HEADERS
     entries: dict[tuple[str, str], Interaction] = field(default_factory=dict)
-    # Shares the header maps add() stores; made on the first add, so a
-    # cassette that is only loaded holds no table of maps.
-    _reader: Optional[_EntryReader] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # _keep()'s table of the header maps add() stores; load() keeps its own
+    # only while it reads, so a loaded cassette's stays empty.
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Stored lower-cased, so add(), save() and load() apply one rule.
+        self.volatile_headers = tuple(h.lower() for h in self.volatile_headers)
 
     def add(self, interaction: Interaction) -> None:
         """Insert unless the key is already present."""
         key = match_key(interaction.method, interaction.url)
         if key in self.entries:
             return
-        if self._reader is None:
-            self._reader = _EntryReader(self.volatile_headers)
         response = interaction.response
-        headers = self._reader.keep(response.headers)
+        headers = _keep(response.headers, self.volatile_headers, self._kept)
         interaction = replace(interaction, response=replace(response, headers=headers))
         self.entries[key] = interaction
 
@@ -336,7 +338,7 @@ class Cassette:
                     )
                 cassette = cls(
                     recorded_at=parse_iso_timestamp(header["recorded_at"]),
-                    volatile_headers=tuple(h.lower() for h in volatile),
+                    volatile_headers=volatile,
                 )
                 # add()'s rule: the first line of a key wins.
                 entries = cassette.entries

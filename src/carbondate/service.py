@@ -38,8 +38,14 @@ class ServiceConfig:
     now_override: Optional[int] = None
     report_style: str = "legacy"
     endpoints: Endpoints = field(default_factory=Endpoints)
+    # listen as serve binds it: (host, port).
+    address: tuple[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # A JSON config gives a list of methods and a dict of endpoints.
+        self.enabled_methods = frozenset(self.enabled_methods)
+        if isinstance(self.endpoints, dict):
+            self.endpoints = Endpoints(**self.endpoints)
         if self.mode not in ("live", "replay", "record"):
             raise ValueError(f"unknown transport mode: {self.mode!r}")
         if self.timeout_ms <= 0:
@@ -55,6 +61,13 @@ class ServiceConfig:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
         if self.report_style not in REPORT_STYLES:
             raise ValueError(f"unknown report style: {self.report_style!r}")
+        # host:port; the host defaults to 127.0.0.1 and the port to 8000.
+        if not isinstance(self.listen, str):
+            raise ValueError(f"listen is not a string: {self.listen!r}")
+        host, _, port = self.listen.partition(":")
+        if port and not (port.isascii() and port.isdigit() and int(port) <= 65535):
+            raise ValueError(f"listen port must be in 0-65535: {self.listen!r}")
+        self.address = (host or "127.0.0.1", int(port or 8000))
 
 
 def build_context(config: ServiceConfig) -> SourceContext:
@@ -136,7 +149,7 @@ def _respond(start_response, status: int, body: dict):
 
 
 def serve(config: ServiceConfig, ctx: Optional[SourceContext] = None) -> None:
-    """Run the API on config.listen until interrupted, a thread per request
+    """Run the API on config.address until interrupted, a thread per request
     so /healthz answers while an estimate waits on a slow upstream. In
     record mode the captured cassette is saved however serving ends, after
     every request in flight has finished recording."""
@@ -179,10 +192,8 @@ def serve(config: ServiceConfig, ctx: Optional[SourceContext] = None) -> None:
 
     if ctx is None:
         ctx = build_context(config)
-    host, _, port = config.listen.partition(":")
     server = make_server(
-        host or "127.0.0.1",
-        int(port or 8000),
+        *config.address,
         make_app(config, ctx),
         server_class=ThreadingWSGIServer,
         handler_class=RequestHandler,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import queue
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -44,7 +43,6 @@ FLAG_PARTIAL_FETCH = "partial_fetch"
 # Workers of one context's executor: stdlib's own ceiling for a default
 # ThreadPoolExecutor. Threads start only when no idle one is free.
 POOL_WORKERS = 32
-_POOL_LOCK = threading.Lock()
 
 @dataclass(frozen=True)
 class Endpoints:
@@ -89,21 +87,15 @@ class SourceContext:
     # Most probes of one URI in flight at once through a transport that
     # blocks; one that declares ``blocking = False`` runs them inline.
     parallelism: int = 6
-    _pool: Optional[ThreadPoolExecutor] = field(
-        default=None, init=False, repr=False, compare=False
+    # The executor every URI of this context fans out on. It starts no
+    # thread before the first fan-out; a copy made by dataclasses.replace
+    # gets its own, and the workers exit once the context is collected.
+    pool: ThreadPoolExecutor = field(
+        default_factory=lambda: ThreadPoolExecutor(
+            max_workers=POOL_WORKERS, thread_name_prefix="carbondate-probe"
+        ),
+        init=False, repr=False, compare=False,
     )
-
-    def pool(self) -> ThreadPoolExecutor:
-        """The executor every URI of this context fans out on, started on
-        first use. A copy made by dataclasses.replace starts its own; the
-        workers exit once the context is garbage-collected."""
-        if self._pool is None:
-            with _POOL_LOCK:
-                if self._pool is None:
-                    self._pool = ThreadPoolExecutor(
-                        max_workers=POOL_WORKERS, thread_name_prefix="carbondate-probe"
-                    )
-        return self._pool
 
 
 @dataclass(frozen=True)
@@ -372,7 +364,7 @@ def gather_evidence(
     """Run every enabled source, failures isolated, one result per method.
 
     Through a transport that blocks, sources run in up to ctx.parallelism
-    lanes: the caller's thread is one, the others run on ctx.pool(), and
+    lanes: the caller's thread is one, the others run on ctx.pool, and
     each lane takes the next method not yet started. A transport that
     declares ``blocking = False`` answers from memory, so threads would
     only add overhead; its sources run one after another on the caller's
@@ -409,8 +401,7 @@ def gather_evidence(
                 return
             results[i] = run(methods[i])
 
-    pool = ctx.pool()
-    helpers = [pool.submit(lane) for _ in range(lanes - 1)]
+    helpers = [ctx.pool.submit(lane) for _ in range(lanes - 1)]
     lane()
     # The queue is empty now: a helper that has not started would find
     # nothing to do, so only running ones are waited for.

@@ -86,9 +86,6 @@ class ResourceTruth:
     true_creation: int  # midnight UTC
     lags: dict[str, Optional[int]]  # method -> seconds, None when absent
 
-    def present_methods(self) -> list[str]:
-        return [m for m, lag in self.lags.items() if lag is not None]
-
     def expected_estimate(self) -> Optional[int]:
         present = [lag for lag in self.lags.values() if lag is not None]
         if not present:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 from urllib.parse import parse_qsl, urlencode, urlsplit, urlunsplit
@@ -38,6 +39,9 @@ from carbondate.sources import (
 )
 
 NOW = parse_iso_timestamp("2013-03-01T00:00:00")
+# Names that differ only in case, so a volatile list and a header map
+# spell one name differently.
+HEADER_NAMES = st.text(alphabet="dDaAtT-", min_size=1, max_size=4)
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -230,6 +234,35 @@ class TestCassetteFile:
         stored = c.lookup("HEAD", "http://example.com/").response
         assert stored.header("Date") is None
         assert stored.header("X-Keep") == "yes"
+
+    def test_volatile_list_is_lower_cased_on_add_and_save(self, tmp_path):
+        c = Cassette(recorded_at=NOW, volatile_headers=("Date",))
+        c.add(interaction(headers={"date": "whenever", "X-Keep": "yes"}))
+        assert c.lookup("HEAD", "http://example.com/").response.headers == {"X-Keep": "yes"}
+        path = tmp_path / "c.jsonl"
+        c.save(str(path))
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header["volatile_headers"] == ["date"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        volatile=st.lists(HEADER_NAMES, max_size=3),
+        maps=st.lists(st.dictionaries(HEADER_NAMES, st.text(max_size=3), max_size=4),
+                      min_size=1, max_size=5),
+    )
+    def test_add_save_load_round_trip(self, volatile, maps):
+        c = Cassette(recorded_at=NOW, volatile_headers=tuple(volatile))
+        for i, headers in enumerate(maps):
+            c.add(interaction(url=f"http://e.com/{i}", headers=headers))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.jsonl")
+            c.save(path)
+            loaded = Cassette.load(path)
+        assert loaded.entries == c.entries
+        dropped = {name.lower() for name in volatile}
+        for cassette in (c, loaded):
+            for e in cassette.entries.values():
+                assert not {name.lower() for name in e.response.headers} & dropped
 
     def test_bad_status_rejected(self):
         with pytest.raises(ValueError):
@@ -618,11 +651,10 @@ class TestCompactLayout:
         assert all(m is maps[0] for m in maps)
         assert maps[0] == {"X-Keep": "1"}
         # The table add() shares maps through is keyed by the kept items alone.
-        assert list(c._reader.kept.values()) == [{"X-Keep": "1"}]
-        assert not c._reader.maps
+        assert list(c._kept.values()) == [{"X-Keep": "1"}]
 
     def test_loaded_cassette_holds_no_table_of_maps(self, world_file):
-        assert Cassette.load(str(world_file))._reader is None
+        assert Cassette.load(str(world_file))._kept == {}
 
 
 def write_entries(path, *entries, volatile=None):

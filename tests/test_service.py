@@ -18,6 +18,7 @@ from carbondate.cli import eval_main, main
 from carbondate.core import parse_iso_timestamp
 from carbondate.replay import Cassette, ReplayTransport
 from carbondate.service import ServiceConfig, build_context, make_app, serve
+from carbondate.sources import Endpoints
 from carbondate.synth import generate_world
 
 NOW = "2013-03-01T00:00:00"
@@ -59,6 +60,31 @@ class TestServiceConfig:
             ServiceConfig(report_style="xml")
         with pytest.raises(ValueError):
             ServiceConfig(mode="bogus")
+
+    @pytest.mark.parametrize("listen, address", [
+        ("h:0", ("h", 0)),
+        ("h", ("h", 8000)),
+        (":9", ("127.0.0.1", 9)),
+        ("h:65535", ("h", 65535)),
+        ("127.0.0.1:8000", ("127.0.0.1", 8000)),
+    ])
+    def test_listen_address(self, listen, address):
+        assert ServiceConfig(listen=listen).address == address
+
+    @pytest.mark.parametrize(
+        "listen", ["h:x", "h:65536", "h:-1", "h: 80", "h:\u0668\u0660", 8000]
+    )
+    def test_bad_listen(self, listen):
+        with pytest.raises(ValueError):
+            ServiceConfig(listen=listen)
+
+    def test_json_values_become_the_field_types(self):
+        config = ServiceConfig(
+            enabled_methods=["social", "archives"],
+            endpoints={"timemap_base": "http://tm.example/"},
+        )
+        assert config.enabled_methods == frozenset({"social", "archives"})
+        assert config.endpoints == Endpoints(timemap_base="http://tm.example/")
 
 
 class TestEndpoint:
@@ -481,6 +507,10 @@ class TestBatchCli:
         assert capsys.readouterr().err.startswith("error:")
 
 
+def no_serving(*args, **kwargs):
+    raise AssertionError("started serving on input that should have been refused")
+
+
 class TestCliInputErrors:
     @pytest.fixture
     def batch_argv(self, tmp_path):
@@ -525,9 +555,6 @@ class TestCliInputErrors:
         {"version": 2, "recorded_at": "2013-03-01T00:00:00"},
     ])
     def test_bad_cassette_is_error_line(self, tmp_path, capsys, monkeypatch, command, header):
-        def no_serving(*args, **kwargs):
-            raise AssertionError("started serving a cassette that did not load")
-
         monkeypatch.setattr(cli, "serve", no_serving)
         cassette = tmp_path / "c.jsonl"
         if header is not None:
@@ -539,6 +566,45 @@ class TestCliInputErrors:
             argv.append(str(uris))
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["batch", "serve"])
+    def test_replay_and_record_exclude_each_other(
+        self, tmp_path, batch_argv, capsys, monkeypatch, command
+    ):
+        monkeypatch.setattr(cli, "serve", no_serving)
+        argv = batch_argv if command == "batch" else ["serve", *batch_argv[2:]]
+        record = tmp_path / "recorded.jsonl"
+        with pytest.raises(SystemExit) as raised:
+            main(argv + ["--record", str(record)])
+        assert raised.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not record.exists()
+
+    @pytest.mark.parametrize("listen", ["127.0.0.1:notaport", ":99999"])
+    def test_bad_listen_is_error_line(
+        self, capsys, monkeypatch, mementoweb_cassette_path, listen
+    ):
+        monkeypatch.setattr(cli, "serve", no_serving)
+        assert main(["serve", "--replay", mementoweb_cassette_path, "--listen", listen]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("mode", ["replay", "record"])
+    def test_port_in_use_is_error_line(
+        self, tmp_path, capsys, monkeypatch, mementoweb_cassette_path, mode
+    ):
+        def no_serving_forever(self, *args, **kwargs):
+            raise AssertionError("bound a port already in use")
+
+        monkeypatch.setattr(socketserver.BaseServer, "serve_forever", no_serving_forever)
+        cassette = mementoweb_cassette_path if mode == "replay" else str(tmp_path / "r.jsonl")
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            listen = f"127.0.0.1:{taken.getsockname()[1]}"
+            assert main(["serve", f"--{mode}", cassette, "--listen", listen]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        # A server that never started recorded nothing, so saves nothing.
+        assert not (tmp_path / "r.jsonl").exists()
 
     @pytest.mark.parametrize("n, out", [("0", "world"), ("1", "file/world")])
     def test_make_world_bad_input_is_error_line(self, tmp_path, capsys, n, out):

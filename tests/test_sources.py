@@ -587,10 +587,10 @@ class TestConcurrencyPaths:
         return [normalize_uri(r.uri) for r in world[0].resources[:n]]
 
     def test_replay_starts_no_thread(self, world, monkeypatch):
-        def no_pool(*args, **kwargs):
+        def no_submit(*args, **kwargs):
             raise AssertionError("replay must run on the caller's thread")
 
-        monkeypatch.setattr(sources, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(sources.ThreadPoolExecutor, "submit", no_submit)
         resources, cassette = world[0].resources, world[1]
         ctx = self.ctx_for(ReplayTransport(cassette), cassette)
         for r in resources[:10]:
@@ -676,8 +676,10 @@ class TestConcurrencyPaths:
         cassette = world[1]
         ctx = self.ctx_for(CountingTransport(ReplayTransport(cassette)), cassette)
         copy = dataclasses.replace(ctx)
-        assert copy.pool() is not ctx.pool()
+        assert copy.pool is not ctx.pool
         assert copy == ctx
+        # Made with the context, the executor starts no thread before a fan-out.
+        assert not ctx.pool._threads and not copy.pool._threads
 
 
 # Upstream answers for the robustness property: well-formed, wrongly typed
