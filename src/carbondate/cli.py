@@ -35,21 +35,19 @@ def _config_from_args(args) -> ServiceConfig:
     if config_path:
         with open(config_path, "r", encoding="utf-8") as f:
             kwargs.update(json.load(f))
-    if getattr(args, "listen", None):
+    if getattr(args, "listen", None) is not None:
         kwargs["listen"] = args.listen
-    if getattr(args, "sources", None):
+    if getattr(args, "sources", None) is not None:
         kwargs["enabled_methods"] = args.sources.split(",")
     if getattr(args, "timeout_ms", None) is not None:
         kwargs["timeout_ms"] = args.timeout_ms
-    if getattr(args, "parallelism", None) is not None:
-        kwargs["parallelism"] = args.parallelism
-    if getattr(args, "replay", None):
+    if getattr(args, "replay", None) is not None:
         kwargs["mode"] = "replay"
         kwargs["cassette_path"] = args.replay
-    elif getattr(args, "record", None):
+    elif getattr(args, "record", None) is not None:
         kwargs["mode"] = "record"
         kwargs["cassette_path"] = args.record
-    if getattr(args, "now", None):
+    if getattr(args, "now", None) is not None:
         kwargs["now_override"] = parse_iso_timestamp(args.now)
     if getattr(args, "format", None):
         kwargs["report_style"] = args.format
@@ -59,7 +57,6 @@ def _config_from_args(args) -> ServiceConfig:
 def _add_transport_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sources", help="comma-separated method names")
     parser.add_argument("--timeout-ms", type=int, dest="timeout_ms")
-    parser.add_argument("--parallelism", type=int)
     cassette = parser.add_mutually_exclusive_group()
     cassette.add_argument("--replay", metavar="PATH", help="replay from cassette")
     cassette.add_argument("--record", metavar="PATH", help="record into cassette")
@@ -174,7 +171,7 @@ def eval_main(argv=None) -> int:
         config = ServiceConfig(
             mode="replay",
             cassette_path=args.replay,
-            now_override=parse_iso_timestamp(args.now) if args.now else None,
+            now_override=None if args.now is None else parse_iso_timestamp(args.now),
         )
         ctx = build_context(config)
     except (OSError, ValueError) as exc:

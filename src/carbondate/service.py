@@ -32,7 +32,6 @@ class ServiceConfig:
     listen: str = "127.0.0.1:8000"
     enabled_methods: frozenset[str] = frozenset(ALL_METHODS)
     timeout_ms: int = 10_000
-    parallelism: int = 6
     mode: str = "live"  # live | replay | record
     cassette_path: Optional[str] = None
     now_override: Optional[int] = None
@@ -48,10 +47,13 @@ class ServiceConfig:
             self.endpoints = Endpoints(**self.endpoints)
         if self.mode not in ("live", "replay", "record"):
             raise ValueError(f"unknown transport mode: {self.mode!r}")
-        if self.timeout_ms <= 0:
-            raise ValueError("timeout must be positive")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
+        # A JSON config can give any type; bool is an int to isinstance.
+        if type(self.timeout_ms) is not int or self.timeout_ms <= 0:
+            raise ValueError(f"timeout_ms is not a positive integer: {self.timeout_ms!r}")
+        if self.now_override is not None and type(self.now_override) is not int:
+            raise ValueError(f"now_override is not an integer: {self.now_override!r}")
+        if self.cassette_path is not None and not isinstance(self.cassette_path, str):
+            raise ValueError(f"cassette_path is not a string: {self.cassette_path!r}")
         if self.mode in ("replay", "record") and not self.cassette_path:
             raise ValueError(f"{self.mode} mode requires a cassette path")
         if not self.enabled_methods:
@@ -62,8 +64,8 @@ class ServiceConfig:
         if self.report_style not in REPORT_STYLES:
             raise ValueError(f"unknown report style: {self.report_style!r}")
         # host:port; the host defaults to 127.0.0.1 and the port to 8000.
-        if not isinstance(self.listen, str):
-            raise ValueError(f"listen is not a string: {self.listen!r}")
+        if not isinstance(self.listen, str) or not self.listen:
+            raise ValueError(f"listen is not a host:port string: {self.listen!r}")
         host, _, port = self.listen.partition(":")
         if port and not (port.isascii() and port.isdigit() and int(port) <= 65535):
             raise ValueError(f"listen port must be in 0-65535: {self.listen!r}")
@@ -92,7 +94,6 @@ def build_context(config: ServiceConfig) -> SourceContext:
         transport=transport,
         window=PlausibilityWindow(now=now),
         endpoints=config.endpoints,
-        parallelism=config.parallelism,
     )
 
 

@@ -8,7 +8,6 @@ one broken upstream never suppresses the others.
 from __future__ import annotations
 
 import json
-import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -84,9 +83,6 @@ class SourceContext:
     transport: object
     window: PlausibilityWindow
     endpoints: Endpoints = field(default_factory=Endpoints)
-    # Most probes of one URI in flight at once through a transport that
-    # blocks; one that declares ``blocking = False`` runs them inline.
-    parallelism: int = 6
     # The executor every URI of this context fans out on. It starts no
     # thread before the first fan-out; a copy made by dataclasses.replace
     # gets its own, and the workers exit once the context is collected.
@@ -363,9 +359,10 @@ def gather_evidence(
 ) -> list[EvidenceResult]:
     """Run every enabled source, failures isolated, one result per method.
 
-    Through a transport that blocks, sources run in up to ctx.parallelism
-    lanes: the caller's thread is one, the others run on ctx.pool, and
-    each lane takes the next method not yet started. A transport that
+    Through a transport that blocks, every source but the first is handed
+    to ctx.pool. The caller runs the first, then each one the executor has
+    not started, so a busy executor slows a URI but never blocks it; only
+    then does it wait for the ones already running. A transport that
     declares ``blocking = False`` answers from memory, so threads would
     only add overhead; its sources run one after another on the caller's
     thread. Results come back in method-name order so concurrency never
@@ -384,28 +381,11 @@ def gather_evidence(
         except Exception as exc:  # probes should not raise; belt and braces
             return _error(method, f"internal: {exc}")
 
-    lanes = min(ctx.parallelism, len(methods))
-    if not getattr(ctx.transport, "blocking", True) or lanes <= 1:
+    if not getattr(ctx.transport, "blocking", True):
         return [run(m) for m in methods]
 
-    todo: queue.SimpleQueue[int] = queue.SimpleQueue()
-    for i in range(len(methods)):
-        todo.put(i)
-    results: list[Optional[EvidenceResult]] = [None] * len(methods)
-
-    def lane() -> None:
-        while True:
-            try:
-                i = todo.get_nowait()
-            except queue.Empty:
-                return
-            results[i] = run(methods[i])
-
-    helpers = [ctx.pool.submit(lane) for _ in range(lanes - 1)]
-    lane()
-    # The queue is empty now: a helper that has not started would find
-    # nothing to do, so only running ones are waited for.
-    for helper in helpers:
-        if not helper.cancel():
-            helper.result()
-    return results
+    first, *rest = methods
+    futures = [ctx.pool.submit(run, m) for m in rest]
+    results = [run(first)]
+    ran_here = [run(m) if f.cancel() else None for m, f in zip(rest, futures)]
+    return results + [r if r is not None else f.result() for r, f in zip(ran_here, futures)]

@@ -208,9 +208,7 @@ def test_criterion_4_plausibility_filter():
             response=HttpResponse(200, {}, json.dumps({"backlinks": []})),
         ))
 
-    ctx = SourceContext(
-        transport=ReplayTransport(cassette), window=window, parallelism=1
-    )
+    ctx = SourceContext(transport=ReplayTransport(cassette), window=window)
     checked = 0
     for raw in uris:
         uri = normalize_uri(raw)
@@ -256,7 +254,6 @@ def test_criterion_6_synthetic_end_to_end():
     ctx = SourceContext(
         transport=ReplayTransport(cassette),
         window=PlausibilityWindow(now=world.now),
-        parallelism=1,
     )
     records = []
     for resource in world.resources:
@@ -308,7 +305,6 @@ def test_criterion_7_reporting_schema_not_absolute_numbers():
     ctx = SourceContext(
         transport=ReplayTransport(cassette),
         window=PlausibilityWindow(now=world.now),
-        parallelism=1,
     )
     records = []
     for resource in world.resources[:20]:

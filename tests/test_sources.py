@@ -56,7 +56,6 @@ def make_ctx(interactions):
     return SourceContext(
         transport=ReplayTransport(cassette),
         window=PlausibilityWindow(now=NOW),
-        parallelism=1,
     )
 
 
@@ -522,11 +521,11 @@ class TestGatherEvidence:
             assert by_method[m].status == "error"
 
     def test_deterministic_order(self):
-        ctx = make_ctx([])
-        for parallelism in (1, 4):
-            ctx.parallelism = parallelism
-            results = gather_evidence(URI, ctx)
-            assert [r.method for r in results] == sorted(ALL_METHODS)
+        inline = make_ctx([("HEAD", str(URI), head_resp("Wed, 27 Feb 2013 17:27:20 GMT"))])
+        blocking = dataclasses.replace(inline, transport=CountingTransport(inline.transport))
+        results = gather_evidence(URI, inline)
+        assert [r.method for r in results] == sorted(ALL_METHODS)
+        assert gather_evidence(URI, blocking) == results
 
     def test_empty_enabled_set_rejected(self):
         ctx = make_ctx([])
@@ -575,11 +574,9 @@ class TestConcurrencyPaths:
         return generate_world(seed=7, n=60)
 
     @staticmethod
-    def ctx_for(transport, cassette, parallelism=6):
+    def ctx_for(transport, cassette):
         return SourceContext(
-            transport=transport,
-            window=PlausibilityWindow(now=cassette.recorded_at),
-            parallelism=parallelism,
+            transport=transport, window=PlausibilityWindow(now=cassette.recorded_at)
         )
 
     @staticmethod
@@ -623,16 +620,34 @@ class TestConcurrencyPaths:
             gather_evidence(uri, ctx)
         assert len(made) == 1
 
-    @pytest.mark.parametrize("parallelism", [2, 3, 6])
-    def test_parallelism_caps_requests_in_flight(self, world, parallelism):
+    def test_at_most_one_request_in_flight_per_probe(self, world):
         # One caller, one URI at a time: every request in flight is that URI's.
         cassette = world[1]
         inline = self.ctx_for(ReplayTransport(cassette), cassette)
         transport = InFlightTransport(ReplayTransport(cassette))
-        pooled = self.ctx_for(transport, cassette, parallelism)
+        pooled = self.ctx_for(transport, cassette)
         for uri in self.uris(world, 20):
             assert gather_evidence(uri, pooled) == gather_evidence(uri, inline)
-        assert 1 < transport.peak <= parallelism
+        assert 1 < transport.peak <= len(ALL_METHODS)
+
+    def test_busy_executor_slows_but_never_blocks(self, world):
+        # The only worker is held for the whole test, so the caller must run
+        # every probe of every URI itself.
+        cassette = world[1]
+        inline = self.ctx_for(ReplayTransport(cassette), cassette)
+        transport = CountingTransport(ReplayTransport(cassette))
+        pooled = self.ctx_for(transport, cassette)
+        pooled.pool = sources.ThreadPoolExecutor(max_workers=1)
+        release = threading.Event()
+        held = pooled.pool.submit(release.wait, 30)
+        try:
+            for uri in self.uris(world, 20):
+                assert gather_evidence(uri, pooled) == gather_evidence(uri, inline)
+        finally:
+            release.set()
+            pooled.pool.shutdown(wait=True)
+        assert held.result() is True
+        assert transport.threads == {threading.get_ident()}
 
     def test_callers_sharing_a_context_get_serial_evidence(self, world):
         cassette = world[1]
@@ -744,12 +759,8 @@ class ScriptedTransport:
 class TestArbitraryUpstream:
     @pytest.fixture(scope="class")
     def contexts(self):
-        inline = SourceContext(
-            transport=ScriptedTransport(), window=PlausibilityWindow(now=NOW), parallelism=6
-        )
-        pooled = SourceContext(
-            transport=CountingTransport(inline.transport), window=inline.window, parallelism=6
-        )
+        inline = SourceContext(transport=ScriptedTransport(), window=PlausibilityWindow(now=NOW))
+        pooled = SourceContext(transport=CountingTransport(inline.transport), window=inline.window)
         return inline, pooled
 
     @settings(max_examples=300, deadline=None)

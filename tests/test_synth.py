@@ -26,11 +26,9 @@ def zero_lag_models():
     }
 
 
-def replay_ctx(world, cassette, parallelism=1):
+def replay_ctx(world, cassette):
     return SourceContext(
-        transport=ReplayTransport(cassette),
-        window=PlausibilityWindow(now=world.now),
-        parallelism=parallelism,
+        transport=ReplayTransport(cassette), window=PlausibilityWindow(now=world.now)
     )
 
 
