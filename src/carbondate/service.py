@@ -45,6 +45,8 @@ class ServiceConfig:
         self.enabled_methods = frozenset(self.enabled_methods)
         if isinstance(self.endpoints, dict):
             self.endpoints = Endpoints(**self.endpoints)
+        elif not isinstance(self.endpoints, Endpoints):
+            raise ValueError(f"endpoints is not an object: {self.endpoints!r}")
         if self.mode not in ("live", "replay", "record"):
             raise ValueError(f"unknown transport mode: {self.mode!r}")
         # A JSON config can give any type; bool is an int to isinstance.

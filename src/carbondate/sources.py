@@ -53,6 +53,10 @@ class Endpoints:
     social_base: str = "http://api.social.example.com/v2"
     index_base: str = "http://api.searchindex.example.com/v1"
 
+    def __post_init__(self) -> None:
+        if bad := {k: v for k, v in vars(self).items() if not isinstance(v, str)}:
+            raise ValueError(f"endpoints are not strings: {bad!r}")
+
     def timemap_url(self, uri: str) -> str:
         return self.timemap_base + uri
 
@@ -129,13 +133,6 @@ def _failed(method: str, exc: Exception, prefix: str = "", **kw) -> EvidenceResu
     return _error(method, f"{prefix}{exc}", **kw)
 
 
-def _malformed(method: str, what: str, value: object, **kw) -> EvidenceResult:
-    """error for a value of the wrong JSON type in an upstream answer."""
-    return _error(
-        method, f"malformed document: {what} is a {type(value).__name__}", **kw
-    )
-
-
 def _unusable(
     method: str, value: object, kind: type, what: str, **kw
 ) -> Optional[EvidenceResult]:
@@ -146,7 +143,7 @@ def _unusable(
         return None if value else _empty(method, **kw)
     if value is None:
         return _empty(method, **kw)
-    return _malformed(method, what, value, **kw)
+    return _error(method, f"malformed document: {what} is a {type(value).__name__}", **kw)
 
 
 def _dated(
@@ -167,43 +164,42 @@ def _dated(
     return _ok(method, t, **kw)
 
 
-def _fetch(ctx: SourceContext, method: str, url: str) -> HttpResponse:
-    """The 200 response to a request; a transport failure or any other
-    status raises FetchFailed."""
+def _json_object(resp: HttpResponse) -> dict:
+    """The body as a JSON object; ValueError for any other document."""
+    doc = json.loads(resp.body)
+    if not isinstance(doc, dict):
+        raise ValueError(f"malformed document: body is a {type(doc).__name__}")
+    return doc
+
+
+def _get(ctx: SourceContext, url: str, parse=_json_object, verb: str = "GET"):
+    """parse of the 200 response to a request: a transport failure or any
+    other status raises FetchFailed; parse's own exceptions pass through."""
     try:
-        resp = ctx.transport.request(method, url)
+        resp = ctx.transport.request(verb, url)
     except Exception as exc:
         raise FetchFailed(str(exc)) from exc
     if resp.status != 200:
         raise FetchFailed(f"HTTP {resp.status} for {url}", status=resp.status)
-    return resp
-
-
-def _get_json(ctx: SourceContext, url: str) -> dict:
-    """The JSON object a GET returns; raises as _fetch does, or ValueError
-    for a body that is not a JSON object."""
-    doc = json.loads(_fetch(ctx, "GET", url).body)
-    if not isinstance(doc, dict):
-        raise ValueError(f"malformed document: body is a {type(doc).__name__}")
-    return doc
+    return parse(resp)
 
 
 def probe_last_modified(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
     """Headers-only request; one vote, never authoritative."""
     method = METHOD_LAST_MODIFIED
     try:
-        resp = _fetch(ctx, "HEAD", str(uri))
+        raw = _get(ctx, str(uri), lambda resp: resp.header("Last-Modified"), verb="HEAD")
     except FetchFailed as exc:
         return _failed(method, exc)
-    return _dated(method, resp.header("Last-Modified"), parse_http_date, ctx)
+    return _dated(method, raw, parse_http_date, ctx)
 
 
 def query_archives(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
     """Earliest capture across all public archives, with a per-archive map."""
     method = METHOD_ARCHIVES
     try:
-        resp = _fetch(ctx, "GET", ctx.endpoints.timemap_url(str(uri)))
-        tm = parse_timemap(resp.body, uri)
+        url = ctx.endpoints.timemap_url(str(uri))
+        tm = _get(ctx, url, lambda resp: parse_timemap(resp.body, uri))
     except Exception as exc:
         return _failed(method, exc)
     by_archive: dict[str, int] = {}
@@ -222,14 +218,14 @@ def query_shortener(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
     """Two-step lookup: long URI -> aggregate short id -> creation time."""
     method = METHOD_SHORTENER
     try:
-        lookup = _get_json(ctx, ctx.endpoints.shortener_lookup_url(str(uri)))
+        lookup = _get(ctx, ctx.endpoints.shortener_lookup_url(str(uri)))
     except Exception as exc:
         return _failed(method, exc, "lookup failed: ")
     short_id = lookup.get("id")
     if unusable := _unusable(method, short_id, str, "id"):
         return unusable
     try:
-        info = _get_json(ctx, ctx.endpoints.shortener_info_url(short_id))
+        info = _get(ctx, ctx.endpoints.shortener_info_url(short_id))
     except Exception as exc:
         return _failed(method, exc, "info query failed: ", detail={"id": short_id})
     created = info.get("created_at")
@@ -245,7 +241,7 @@ def query_social(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
     """
     method = METHOD_SOCIAL
     try:
-        data = _get_json(ctx, ctx.endpoints.social_search_url(str(uri)))
+        data = _get(ctx, ctx.endpoints.social_search_url(str(uri)))
     except Exception as exc:
         return _failed(method, exc)
     detail = {"total_posts": data["total"]} if "total" in data else {}
@@ -280,15 +276,12 @@ def query_search_index(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
     """
     method = METHOD_SEARCH_INDEX
     try:
-        data = _get_json(ctx, ctx.endpoints.crawl_url(str(uri)))
+        data = _get(ctx, ctx.endpoints.crawl_url(str(uri)))
     except Exception as exc:
         return _failed(method, exc)
     return _dated(
-        method,
-        data.get("crawl_date"),
-        lambda s: day_to_timestamp(parse_iso_day(s)),
-        ctx,
-        granularity="day",
+        method, data.get("crawl_date"), lambda s: day_to_timestamp(parse_iso_day(s)),
+        ctx, granularity="day",
     )
 
 
@@ -301,7 +294,7 @@ def query_backlinks(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
     """
     method = METHOD_BACKLINKS
     try:
-        data = _get_json(ctx, ctx.endpoints.backlinks_url(str(uri)))
+        data = _get(ctx, ctx.endpoints.backlinks_url(str(uri)))
     except Exception as exc:
         return _failed(method, exc)
     backlinks = data.get("backlinks")
@@ -318,13 +311,13 @@ def query_backlinks(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
         except ValueError:
             continue
         try:
-            resp = _fetch(ctx, "GET", ctx.endpoints.timemap_url(str(backlink)))
-            tm = parse_timemap(resp.body, backlink)
+            url = ctx.endpoints.timemap_url(str(backlink))
+            tm = _get(ctx, url, lambda resp: parse_timemap(resp.body, backlink))
         except Exception:
             flags.add(FLAG_PARTIAL_FETCH)
             continue
         result = first_linking_memento(
-            tm, uri, lambda url: _fetch(ctx, "GET", url).body
+            tm, uri, lambda url: _get(ctx, url, lambda resp: resp.body)
         )
         if result.degraded:
             flags.add(FLAG_PARTIAL_FETCH)
@@ -333,12 +326,8 @@ def query_backlinks(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
             first_seen.append(t)
     if not first_seen:
         return _empty(method, flags=frozenset(flags))
-    return _ok(
-        method,
-        min(first_seen),
-        detail={"backlinks_checked": len(backlinks)},
-        flags=frozenset(flags),
-    )
+    detail = {"backlinks_checked": len(backlinks)}
+    return _ok(method, min(first_seen), detail=detail, flags=frozenset(flags))
 
 
 PROBES = {
@@ -371,8 +360,7 @@ def gather_evidence(
     methods = sorted(enabled if enabled is not None else ALL_METHODS)
     if not methods:
         raise ValueError("enabled method set must be non-empty")
-    unknown = set(methods) - ALL_METHODS
-    if unknown:
+    if unknown := set(methods) - ALL_METHODS:
         raise ValueError(f"unknown methods: {sorted(unknown)}")
 
     def run(method: str) -> EvidenceResult:

@@ -4,6 +4,7 @@ import gc
 import http.server
 import json
 import os
+import socket
 import subprocess
 import sys
 import tempfile
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import carbondate.cli as cli
 import carbondate.replay as replay
 import carbondate.timemaps as timemaps
 from carbondate.core import PlausibilityWindow, normalize_uri, parse_iso_timestamp
@@ -37,6 +39,7 @@ from carbondate.sources import (
     query_archives,
     query_backlinks,
 )
+from carbondate.synth import generate_world
 
 NOW = parse_iso_timestamp("2013-03-01T00:00:00")
 # Names that differ only in case, so a volatile list and a header map
@@ -607,8 +610,6 @@ class TestCompactLayout:
 
     @pytest.fixture(scope="class")
     def world_file(self, tmp_path_factory):
-        from carbondate.synth import generate_world
-
         _, cassette = generate_world(seed=7, n=200)
         path = tmp_path_factory.mktemp("compact") / "world.jsonl"
         cassette.save(str(path))
@@ -764,16 +765,46 @@ class TestCanonicalTest:
 class _Upstream(http.server.BaseHTTPRequestHandler):
     """Serves server.bodies by path, and server.redirects as 302s to a
     location with a body, over keep-alive connections; notes each
-    connection in server.connections."""
+    connection in server.connections.
+
+    As an HTTP proxy it answers an absolute-form GET or HEAD from
+    server.cassette with the recorded status, headers and body, or a 404
+    for a URL with no recording, and notes the request in server.proxied.
+    """
 
     protocol_version = "HTTP/1.1"
     timeout = 5
+    # Headers and body go out in two writes; Nagle's algorithm would hold
+    # the body back until the client's delayed ACK of the headers.
+    disable_nagle_algorithm = True
 
     def setup(self):
         super().setup()
         self.server.connections.append(self.client_address)
 
+    def do_HEAD(self):
+        self.proxy()
+
+    def proxy(self):
+        self.server.proxied.append((self.command, self.path))
+        try:
+            response = self.server.cassette.lookup(self.command, self.path).response
+        except UnmatchedInteraction:
+            response = HttpResponse(status=404, headers={}, body="")
+        body = response.body.encode()
+        self.send_response(response.status)
+        for name, value in response.headers.items():
+            if name.lower() != "content-length":
+                self.send_header(name, value)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        if self.command != "HEAD":
+            self.wfile.write(body)
+
     def do_GET(self):
+        if self.path.startswith("http://"):
+            self.proxy()
+            return
         if self.path in self.server.redirects:
             location, body = self.server.redirects[self.path]
             self.send_response(302)
@@ -804,6 +835,8 @@ def upstream():
     server.connections = []
     server.bodies = {}
     server.redirects = {}
+    server.cassette = Cassette(recorded_at=0)
+    server.proxied = []
     server.base = f"http://127.0.0.1:{server.server_port}"
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
@@ -912,3 +945,40 @@ class TestLiveTransport:
         assert result.status == status
         assert len(bodies) == searched
         assert (FLAG_PARTIAL_FETCH in result.flags) == (searched == 0)
+
+
+class TestRecordThroughProxy:
+    def test_recording_run_replays_to_the_same_reports(
+        self, upstream, tmp_path, monkeypatch, capsys
+    ):
+        world, cassette = generate_world(seed=7, n=30)
+        cassette.save(str(tmp_path / "world.jsonl"))
+        upstream.cassette = cassette
+        for name in ("HTTP_PROXY", "http_proxy"):
+            monkeypatch.setenv(name, upstream.base)
+        for name in ("NO_PROXY", "no_proxy", "CARBONDATE_CONFIG"):
+            monkeypatch.delenv(name, raising=False)
+        # Only the proxy's address resolves, so a request that bypassed the
+        # proxy fails here instead of leaving the machine.
+        real_getaddrinfo = socket.getaddrinfo
+
+        def loopback_only(host, *args, **kwargs):
+            if host != "127.0.0.1":
+                raise OSError(f"{host} was resolved instead of going through the proxy")
+            return real_getaddrinfo(host, *args, **kwargs)
+
+        monkeypatch.setattr(socket, "getaddrinfo", loopback_only)
+        uris = tmp_path / "uris.txt"
+        uris.write_text("".join(r.uri + "\n" for r in world.resources))
+        out = tmp_path / "out.jsonl"
+
+        def batch(*flags):
+            argv = ["batch", str(uris), "--now", "2013-03-01T00:00:00", *flags]
+            assert cli.main(argv) == 0
+            return capsys.readouterr().out.splitlines()
+
+        recorded = batch("--record", str(out))
+        assert len(recorded) == len(world.resources) == 30
+        assert len(upstream.proxied) == len(Cassette.load(str(out)).entries)
+        assert recorded == batch("--replay", str(out))
+        assert recorded == batch("--replay", str(tmp_path / "world.jsonl"))

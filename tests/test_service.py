@@ -558,6 +558,9 @@ class TestCliInputErrors:
         {"now_override": True},
         {"cassette_path": 3},
         {"parallelism": 6},
+        {"endpoints": {"timemap_base": 5}},
+        {"endpoints": "x"},
+        {"endpoints": ["x"]},
     ], ids=str)
     def test_bad_config_file_is_error_line(self, tmp_path, capsys, monkeypatch, command, bad):
         def no_loading(*args, **kwargs):

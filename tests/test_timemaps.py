@@ -423,9 +423,17 @@ class TestContainsLink:
 class TestFirstLinkingMemento:
     target = normalize_uri("http://target.example.com/")
 
+    # A capture's body by whether it links to the target.
+    bodies = {True: '<a href="http://target.example.com/">t</a>', False: "<html>no link</html>"}
+
     def run_search(self, n, first_link, fail_at=frozenset()):
-        times = [1_300_000_000 + i * 1000 for i in range(n)]
-        tm = make_timemap(times)
+        links = [first_link is not None and i >= first_link for i in range(n)]
+        return self.search(links, fail_at)
+
+    def search(self, links, fail_at=frozenset()):
+        """Search captures where links[i] says whether capture i links; a
+        fetch of a capture in fail_at raises FetchFailed."""
+        tm = make_timemap([1_300_000_000 + i * 1000 for i in range(len(links))])
         fetches = []
 
         def fetch(capture_uri):
@@ -433,9 +441,7 @@ class TestFirstLinkingMemento:
             fetches.append(idx)
             if idx in fail_at:
                 raise FetchFailed("boom")
-            if first_link is not None and idx >= first_link:
-                return '<a href="http://target.example.com/">t</a>'
-            return "<html>no link</html>"
+            return self.bodies[links[idx]]
 
         result = first_linking_memento(tm, self.target, fetch)
         return result, tm, fetches
@@ -482,6 +488,27 @@ class TestFirstLinkingMemento:
         assert result.found_at == expected
         assert result.fetches <= math.ceil(math.log2(n)) + 1
         assert len(set(fetches)) == len(fetches) == result.fetches
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.booleans(), max_size=64), st.booleans(), st.data())
+    def test_any_presence_and_failures_against_fetch_all_oracle(self, links, sort, data):
+        links = sorted(links) if sort else links
+        n = len(links)
+        fail_at = data.draw(st.sets(st.integers(0, n - 1)) if n else st.just(set()))
+        result, tm, fetched = self.search(links, fail_at)
+        times = [m.memento_datetime for m in tm.mementos]
+        # The oracle fetches every capture, and none of its fetches fails.
+        linking = [i for i in range(n) if contains_link(self.bodies[links[i]], self.target)]
+        assert len(set(fetched)) == len(fetched) == result.fetches
+        assert result.fetches <= (math.ceil(math.log2(n)) + 1 if n else 0)
+        if result.found_at is not None:
+            found = times.index(result.found_at)
+            assert found in fetched and found not in fail_at and found in linking
+            assert found >= linking[0]
+        failed = fail_at & set(fetched)
+        assert result.degraded == bool(failed)
+        if links == sorted(links) and not failed:
+            assert result.found_at == (times[linking[0]] if linking else None)
 
     def test_failed_fetch_degrades_not_raises(self):
         result, _, _ = self.run_search(16, first_link=4, fail_at={5})
