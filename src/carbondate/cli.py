@@ -193,8 +193,11 @@ def eval_main(argv=None) -> int:
         return 1
 
     records = []
+    statuses = {m: {"ok": 0, "empty": 0, "error": 0} for m in sorted(ALL_METHODS)}
     for uri, real in truths:
         evidence = gather_evidence(uri, ctx)
+        for e in evidence:
+            statuses[e.method][e.status] += 1
         estimates = {e.method: e.estimate for e in evidence}
         records.append(build_record(str(uri), real, estimates))
 
@@ -202,7 +205,7 @@ def eval_main(argv=None) -> int:
     for method in args.ablate:
         summary.ablations[method] = ablate(records, method)
 
-    summary_json = json.dumps(summary.to_json(), indent=2)
+    summary_json = json.dumps({**summary.to_json(), "statuses": statuses}, indent=2)
     if args.out:
         out = Path(args.out)
         (out / "summary.json").write_text(summary_json + "\n", encoding="utf-8")

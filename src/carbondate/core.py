@@ -233,9 +233,9 @@ def parse_iso_timestamp(s: str) -> int:
 
 def render_iso_timestamp(t: int) -> str:
     """Render epoch seconds as "YYYY-MM-DDTHH:MM:SS" (UTC, no suffix)."""
-    # From 1970 to 9999 isoformat prints what strftime does; outside that
-    # range strftime's short years and fromtimestamp's errors are kept.
-    if type(t) is int and 0 <= t < 253402300800:
+    # isoformat writes four-digit years from year 1 to 9999, which
+    # parse_iso_timestamp reads back; strftime writes year 999 as "999".
+    if type(t) is int and -62135596800 <= t < 253402300800:
         return (_EPOCH + timedelta(seconds=t)).isoformat()
     return datetime.fromtimestamp(t, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
 

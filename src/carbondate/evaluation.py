@@ -74,9 +74,9 @@ def load_gold(path: str, window: PlausibilityWindow) -> list[GoldRecord]:
     problems: list[str] = []
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.DictReader(f)
-        if reader.fieldnames is None or [
-            c.strip() for c in reader.fieldnames
-        ] != ["uri", "real_date", "category"]:
+        # Rows are read by these names, so "uri, real_date" reads as well.
+        reader.fieldnames = [c.strip() for c in reader.fieldnames or ()]
+        if reader.fieldnames != ["uri", "real_date", "category"]:
             raise FormatError([f"bad header: {reader.fieldnames}"])
         for row in reader:
             lineno = reader.line_num

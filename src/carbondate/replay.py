@@ -312,15 +312,15 @@ class Cassette:
 
     @classmethod
     def load(cls, path: str) -> "Cassette":
-        """The cassette saved at path, read a line at a time: holding the
-        whole file would add its size to the peak memory of the load.
-        ValueError for a file that is not one."""
+        """The cassette saved at path, read as UTF-8 text a line at a time:
+        holding the whole file would add its size to the peak memory of
+        the load. ValueError for a file that is not one."""
         # Nothing built here can form a cycle, so the collector would only
         # rescan the growing entry table.
         gc_enabled = gc.isenabled()
         gc.disable()
         try:
-            with open(path, "rb") as f:
+            with open(path, "r", encoding="utf-8") as f:
                 objects = _json_lines(f)
                 header = next(objects, None)
                 if header is None:
@@ -357,36 +357,21 @@ class Cassette:
 
 
 def _json_lines(f) -> Iterator:
-    """Decode each non-blank line of a binary file as json.loads would
-    read the file's text, whose lines also end at a lone carriage return.
+    """Decode each non-blank line of a text file.
 
-    Lines orjson refuses (NaN, lone surrogate escapes, invalid UTF-8,
-    1e400) are decoded again by json. orjson reads integers beyond 64 bits
-    as floats where json keeps ints; no such number is a valid version,
-    status, header value or body, so the load rejects either reading.
+    Lines orjson refuses (NaN, lone surrogate escapes, 1e400) are decoded
+    again by json. orjson reads integers beyond 64 bits as floats where
+    json keeps ints; no such number is a valid version, status, header
+    value or body, so the load rejects either reading.
     """
-    for raw in f:
-        # A line without "\r" is one line to json too, and its trailing
-        # newline is JSON whitespace.
-        if b"\r" not in raw:
-            try:
-                obj = orjson.loads(raw)
-            except orjson.JSONDecodeError:
-                pass
-            else:
-                yield obj
-                continue
-        for line in raw.splitlines():
+    for line in f:
+        try:
+            obj = orjson.loads(line)
+        except orjson.JSONDecodeError:
             if not line.strip():
                 continue
-            try:
-                obj = orjson.loads(line)
-            except orjson.JSONDecodeError:
-                text = line.decode("utf-8")
-                if not text.strip():
-                    continue
-                obj = json.loads(text)
-            yield obj
+            obj = json.loads(line)
+        yield obj
 
 
 class ReplayTransport:

@@ -313,8 +313,10 @@ def query_backlinks(uri: CanonicalUri, ctx: SourceContext) -> EvidenceResult:
         try:
             url = ctx.endpoints.timemap_url(str(backlink))
             tm = _get(ctx, url, lambda resp: parse_timemap(resp.body, backlink))
-        except Exception:
-            flags.add(FLAG_PARTIAL_FETCH)
+        except Exception as exc:
+            # A 404 means the archives hold no capture of the page.
+            if _failed(method, exc).status == "error":
+                flags.add(FLAG_PARTIAL_FETCH)
             continue
         result = first_linking_memento(
             tm, uri, lambda url: _get(ctx, url, lambda resp: resp.body)

@@ -76,6 +76,9 @@ def build_reference(year, mon_name, day, hh, mm, ss):
 
 
 def render_iso_reference(t):
+    """isoformat for an int second of years 1 to 9999, strftime otherwise."""
+    if type(t) is int and -62135596800 <= t < 253402300800:
+        return datetime.fromtimestamp(t, tz=timezone.utc).replace(tzinfo=None).isoformat()
     return datetime.fromtimestamp(t, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
 
 
@@ -326,7 +329,13 @@ class TestDays:
     @example(-1)
     @example(253402300799)  # the last second of 9999
     @example(253402300800)
-    @example(-30631392000)  # 0999-05-01, which strftime prints as "999"
+    @example(-30631392000)  # 0999-05-01, written with four digits
+    @example(-62135596800)  # the first second of year 1
+    @example(-62135596801)
     @example(10**20)
     def test_render_iso_matches_strftime(self, t):
         assert outcome(render_iso_timestamp, t) == outcome(render_iso_reference, t)
+
+    @pytest.mark.parametrize("text", ["0001-01-01T00:00:00", "0999-06-01T00:00:00"])
+    def test_iso_round_trip_before_year_1000(self, text):
+        assert render_iso_timestamp(parse_iso_timestamp(text)) == text

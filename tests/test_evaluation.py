@@ -31,9 +31,9 @@ WINDOW = PlausibilityWindow(now=NOW)
 
 
 class TestLoadGold:
-    def write(self, tmp_path, rows):
+    def write(self, tmp_path, rows, header="uri,real_date,category"):
         path = tmp_path / "gold.csv"
-        path.write_text("uri,real_date,category\n" + "\n".join(rows) + "\n")
+        path.write_text(header + "\n" + "\n".join(rows) + "\n")
         return str(path)
 
     def test_valid_rows(self, tmp_path):
@@ -98,6 +98,19 @@ class TestLoadGold:
         path = tmp_path / "gold.csv"
         path.write_text("url,date\nhttp://a.example/,2010-01-01\n")
         with pytest.raises(FormatError):
+            load_gold(str(path), WINDOW)
+
+    @pytest.mark.parametrize("header", ["uri, real_date, category", " uri ,real_date\t,category "])
+    def test_header_names_read_stripped(self, tmp_path, header):
+        rows = ["http://a.example/,2010-01-02,news"]
+        assert load_gold(self.write(tmp_path, rows, header), WINDOW) == load_gold(
+            self.write(tmp_path, rows), WINDOW
+        )
+
+    def test_empty_file_is_a_bad_header(self, tmp_path):
+        path = tmp_path / "gold.csv"
+        path.write_text("")
+        with pytest.raises(FormatError, match="bad header"):
             load_gold(str(path), WINDOW)
 
 

@@ -231,6 +231,12 @@ class TestCassetteFile:
         assert loaded.lookup("GET", "http://b.example/?q=1").response.body == "two"
         assert len(loaded.entries) == 2
 
+    def test_recorded_before_year_1000_round_trips(self, tmp_path):
+        t = parse_iso_timestamp("0999-06-01T00:00:00")
+        path = tmp_path / "c.jsonl"
+        Cassette(recorded_at=t).save(str(path))
+        assert Cassette.load(str(path)).recorded_at == t
+
     def test_volatile_headers_dropped(self):
         c = Cassette(recorded_at=NOW)
         c.add(interaction(headers={"Date": "whenever", "X-Keep": "yes"}))

@@ -706,6 +706,33 @@ class TestEvalCli:
         summary = json.loads(capsys.readouterr().out)
         assert summary["n"] == 4
 
+    def test_status_counts_per_method(self, tmp_path, capsys):
+        world, cassette = generate_world(seed=7, n=60)
+        cassette.save(str(tmp_path / "c.jsonl"))
+        world.save(str(tmp_path / "world.json"))
+        rc = eval_main([
+            "--world", str(tmp_path / "world.json"),
+            "--replay", str(tmp_path / "c.jsonl"),
+            "--out", str(tmp_path / "report"),
+        ])
+        assert rc == 0
+        printed = json.loads(capsys.readouterr().out)
+        saved = json.loads((tmp_path / "report" / "summary.json").read_text())
+        # (ok, empty, error) per method.
+        expected = {
+            "archives": (42, 0, 18),
+            "backlinks": (14, 0, 46),
+            "last_modified": (26, 0, 34),
+            "search_index": (32, 0, 28),
+            "shortener": (36, 0, 24),
+            "social": (47, 0, 13),
+        }
+        for summary in (printed, saved):
+            assert {
+                m: (c["ok"], c["empty"], c["error"]) for m, c in summary["statuses"].items()
+            } == expected
+            assert all(list(c) == ["ok", "empty", "error"] for c in summary["statuses"].values())
+
     def test_unknown_ablation_rejected_before_scoring(self, tmp_path, capsys, monkeypatch):
         world, cassette = generate_world(seed=26, n=2)
         cassette.save(str(tmp_path / "c.jsonl"))

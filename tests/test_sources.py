@@ -32,6 +32,7 @@ from carbondate.replay import (
 from carbondate.sources import (
     ALL_METHODS,
     FLAG_CLIPPED_WINDOW,
+    FLAG_PARTIAL_FETCH,
     Endpoints,
     SourceContext,
     gather_evidence,
@@ -346,13 +347,18 @@ class TestSearchIndex:
 
 
 class TestBacklinks:
-    def backlink_world(self, first_appearances):
-        """One backlink per entry; first linking capture at the given time."""
+    def backlink_world(self, first_appearances, unarchived=None):
+        """One backlink per entry; first linking capture at the given time.
+        unarchived maps more listed pages to their timemap's status, or to
+        None for a timemap the cassette does not hold."""
+        unarchived = unarchived or {}
+        listed = [f"http://bl{i}.example.net/" for i in range(len(first_appearances))]
         interactions = [
-            ("GET", EP.backlinks_url(str(URI)),
-             jresp({"backlinks": [f"http://bl{i}.example.net/" for i in
-                                  range(len(first_appearances))]})),
+            ("GET", EP.backlinks_url(str(URI)), jresp({"backlinks": listed + list(unarchived)})),
         ]
+        for page, status in unarchived.items():
+            if status is not None:
+                interactions.append(("GET", EP.timemap_url(page), jresp({}, status=status)))
         for i, t in enumerate(first_appearances):
             backlink = f"http://bl{i}.example.net/"
             captures = [(t - 90 * 86400, False), (t, True), (t + 30 * 86400, True)]
@@ -399,6 +405,22 @@ class TestBacklinks:
         r = query_backlinks(URI, ctx)
         assert r.status == "empty"
         assert r.error is None
+
+    @pytest.mark.parametrize("status, flags", [
+        (404, frozenset()),
+        (500, frozenset({FLAG_PARTIAL_FETCH})),
+        (None, frozenset({FLAG_PARTIAL_FETCH})),
+    ])
+    @pytest.mark.parametrize("linked", [False, True])
+    def test_backlink_timemap_404_is_no_record(self, status, flags, linked):
+        # A page the archives never captured is skipped without a flag; any
+        # other failure to read its timemap leaves the search partial.
+        times = [parse_iso_timestamp("2010-05-01T00:00:00")] if linked else []
+        ctx = self.backlink_world(times, unarchived={"http://never.example.net/": status})
+        r = query_backlinks(URI, ctx)
+        assert (r.status, r.estimate, r.flags) == (
+            ("ok", times[0], flags) if linked else ("empty", None, flags)
+        )
 
 
 # Every fetch site of the six probes: the probe, the answers that lead to

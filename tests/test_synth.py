@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from carbondate.aggregate import aggregate
-from carbondate.core import PlausibilityWindow, normalize_uri
+from carbondate.core import PlausibilityWindow, normalize_uri, parse_iso_timestamp
 from carbondate.replay import Cassette, HttpResponse, ReplayTransport
 from carbondate.sources import SourceContext, gather_evidence
 from carbondate.synth import (
@@ -120,6 +121,15 @@ class TestGenerateWorld:
         # File is valid JSON with ISO timestamps.
         obj = json.loads(path.read_text())
         assert len(obj["resources"]) == 7
+
+    def test_descriptor_round_trip_before_year_1000(self, tmp_path):
+        world, _ = generate_world(seed=11, n=1)
+        t = parse_iso_timestamp("0999-06-01T00:00:00")
+        world.now = t
+        world.resources[0] = dataclasses.replace(world.resources[0], true_creation=t)
+        path = tmp_path / "world.json"
+        world.save(str(path))
+        assert SyntheticWorld.load(str(path)).to_json() == world.to_json()
 
 
 class TestPut:
